@@ -24,7 +24,7 @@
 // --faults adds Part 5: the same fleet population with the fault plane on
 // (injected TTP inference failures and session aborts), reporting
 // degraded-mode throughput and the harmonic-mean fallback rate, audited
-// bitwise 2-shard-vs-sequential including the faults.* counters.
+// bitwise 2-shard-vs-single-queue including the faults.* counters.
 //
 // --smoke shrinks everything to seconds and exits non-zero on any mismatch,
 // which is what CI runs (with --shards 2 to keep the sharded path covered).
@@ -574,7 +574,7 @@ int main(int argc, char** argv) {
 
   auto start = std::chrono::steady_clock::now();
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      exp::detail::run_trial_serial(config.trial, fleet_factory());
   const double sequential_s = seconds_since(start);
 
   // Warm up the allocator and caches with one untimed, unprofiled fleet
@@ -793,7 +793,7 @@ int main(int argc, char** argv) {
   }
 
   // Part 5 (--faults): degraded-mode throughput with the fault plane on,
-  // audited bitwise 2-shard-vs-sequential (figures and faults.* counters).
+  // audited bitwise 2-shard-vs-single-queue (figures and faults.* counters).
   FaultsPoint faults_point;
   bool faults_identical = true;
   if (faults) {

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "exp/parallel_trial.hh"
 #include "exp/session_task.hh"
 #include "net/scenario.hh"
 #include "util/object_pool.hh"
@@ -251,6 +250,25 @@ struct ShardState {
   std::shared_ptr<const SessionPlan> cached_plan;
   BlockArena arena;  ///< PooledSessionTask storage; see current_task_arena()
   TrialMetrics metrics;
+
+  /// An instance of `config.schemes[scheme]`: recycled from this shard's
+  /// free list when one is parked there, else fresh from `factory`.
+  std::unique_ptr<abr::AbrAlgorithm> acquire(const size_t scheme,
+                                             const TrialConfig& config,
+                                             const SchemeFactory& factory) {
+    auto& pool = pools[scheme];
+    if (!pool.empty()) {
+      std::unique_ptr<abr::AbrAlgorithm> algo = std::move(pool.back());
+      pool.pop_back();
+      metrics.registry.add(metrics.algo_pool_hits);
+      return algo;
+    }
+    std::unique_ptr<abr::AbrAlgorithm> algo = factory(config.schemes[scheme]);
+    require(algo != nullptr, "run_fleet_trial: factory returned null for '" +
+                                 config.schemes[scheme] + "'");
+    metrics.registry.add(metrics.algo_pool_misses);
+    return algo;
+  }
 };
 
 /// Streaming ascending-order merge: shards complete sessions out of global
@@ -274,8 +292,8 @@ struct MergeFrontier {
 
 FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
                                  const SchemeArtifacts& artifacts) {
-  // Wire an enabled fault plan into scheme assembly (resilient Fugu), as
-  // run_trial does — the two paths must build identical schemes.
+  // Wire an enabled fault plan into scheme assembly (resilient Fugu). The
+  // copied artifacts keep the plan pointer valid for the factory's life.
   SchemeArtifacts wired = artifacts;
   if (config.trial.faults.enabled && wired.faults == nullptr) {
     wired.faults = &config.trial.faults;
@@ -347,8 +365,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   }
 
   sim::FleetConfig engine_config;
-  engine_config.num_threads =
-      ParallelTrialRunner::resolve_num_threads(trial_config.num_threads);
+  engine_config.num_threads = trial_config.num_threads;
   engine_config.num_shards = config.num_shards;
   // Colocate a paired plan's per-scheme task copies on one shard: they
   // share an immutable plan, and the cache hit needs them back-to-back.
@@ -361,11 +378,11 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const int num_shards = engine.resolved_num_shards();
 
   // Per-task partial results, folded into the TrialResult in ascending
-  // task order by the streaming frontier below — the same merge order that
-  // makes the parallel runner bit-identical to the serial loop. scheme_of
-  // and each partial are written by the owning shard's worker before it
-  // reports the completion under the frontier mutex, which is what makes
-  // them safe to read on whichever worker advances the frontier past them.
+  // task order by the streaming frontier below — the merge order that makes
+  // the fleet bit-identical to the serial loop. scheme_of and each partial
+  // are written by the owning shard's worker before it reports the
+  // completion under the frontier mutex, which is what makes them safe to
+  // read on whichever worker advances the frontier past them.
   std::vector<std::unique_ptr<SchemeResult>> partials(
       static_cast<size_t>(num_tasks));
   std::vector<size_t> scheme_of(static_cast<size_t>(num_tasks), 0);
@@ -413,26 +430,16 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     }
     scheme_of[static_cast<size_t>(task_index)] = scheme;
 
-    std::unique_ptr<abr::AbrAlgorithm> algo;
-    auto& pool = shard.pools[scheme];
-    if (!pool.empty()) {
-      algo = std::move(pool.back());
-      pool.pop_back();
-      shard.metrics.registry.add(shard.metrics.algo_pool_hits);
-    } else {
-      algo = factory(trial_config.schemes[scheme]);
-      require(algo != nullptr, "run_fleet_trial: factory returned null for '" +
-                                   trial_config.schemes[scheme] + "'");
-      shard.metrics.registry.add(shard.metrics.algo_pool_misses);
-    }
+    std::unique_ptr<abr::AbrAlgorithm> algo =
+        shard.acquire(scheme, trial_config, factory);
     auto& partial = partials[static_cast<size_t>(task_index)];
     partial = std::make_unique<SchemeResult>();
     shard.metrics.registry.add(shard.metrics.tasks_created);
     current_task_arena() = &shard.arena;
     const int64_t blocks_before = shard.arena.blocks_created();
     auto task = std::make_unique<PooledSessionTask>(
-        std::move(plan), std::move(algo), trial_config, *partial, pool,
-        &shard.metrics);
+        std::move(plan), std::move(algo), trial_config, *partial,
+        shard.pools[scheme], &shard.metrics);
     const int64_t blocks_after = shard.arena.blocks_created();
     if (blocks_after > blocks_before) {
       shard.metrics.registry.add(shard.metrics.arena_blocks_created,
@@ -466,19 +473,8 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
           static_cast<size_t>(session_rng.uniform_int(0, num_schemes - 1));
       scheme_of[static_cast<size_t>(p)] = scheme;
       member_schemes.push_back(scheme);
-      std::unique_ptr<abr::AbrAlgorithm> algo;
-      auto& pool = shard.pools[scheme];
-      if (!pool.empty()) {
-        algo = std::move(pool.back());
-        pool.pop_back();
-        shard.metrics.registry.add(shard.metrics.algo_pool_hits);
-      } else {
-        algo = factory(trial_config.schemes[scheme]);
-        require(algo != nullptr,
-                "run_fleet_trial: factory returned null for '" +
-                    trial_config.schemes[scheme] + "'");
-        shard.metrics.registry.add(shard.metrics.algo_pool_misses);
-      }
+      std::unique_ptr<abr::AbrAlgorithm> algo =
+          shard.acquire(scheme, trial_config, factory);
       auto& partial = partials[static_cast<size_t>(p)];
       partial = std::make_unique<SchemeResult>();
       max_trace_s = std::max(max_trace_s, plan->path->trace.duration());

@@ -10,15 +10,15 @@
 
 namespace puffer::exp {
 
-/// A randomized trial executed as a fleet: the same schemes, scenario, RCT
-/// assignment and session plans as run_trial(config.trial), but with
-/// sessions arriving per `arrivals` and interleaved concurrently on one
-/// virtual timeline by sim::FleetEngine.
+/// A randomized trial executed as a fleet: the schemes, scenario, RCT
+/// assignment and session plans of config.trial, with sessions arriving per
+/// `arrivals` and interleaved concurrently on one virtual timeline by
+/// sim::FleetEngine. run_trial is this with sparse arrivals.
 ///
 /// Determinism contract: sessions are mutually independent (each has its
 /// own path, TCP connection, viewer and per-session RNG), so the fleet's
 /// interleaving cannot change any session's results — the merged
-/// TrialResult is bit-identical to the session-sequential run_trial at any
+/// TrialResult is bit-identical to detail::run_trial_serial at any
 /// thread count AND any shard count, with or without coalesced inference.
 /// Partial results are appended to the merged TrialResult in ascending
 /// session-index order as a streaming frontier (a completed session's

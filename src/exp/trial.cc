@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <iterator>
 
-#include "exp/parallel_trial.hh"
+#include "exp/fleet_trial.hh"
 #include "exp/session_task.hh"
 #include "net/scenario.hh"
+#include "sim/fleet.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -34,9 +35,8 @@ const SchemeResult& TrialResult::result_for(const std::string& name) const {
 namespace detail {
 
 int64_t num_session_plans(const TrialConfig& config) {
-  // Clamped so a negative sessions_per_scheme yields an empty trial on the
-  // serial and parallel paths alike (unclamped, the parallel runner would
-  // compute a negative chunk count).
+  // Clamped so a negative sessions_per_scheme yields an empty trial rather
+  // than a negative task count.
   return std::max<int64_t>(0, config.sessions_per_scheme) *
          (config.paired_paths ? 1
                               : static_cast<int64_t>(config.schemes.size()));
@@ -50,7 +50,7 @@ int64_t num_session_plans(const TrialConfig& config) {
 // scheme, considered, session_durations_s, consort, logs.
 static_assert(sizeof(ConsortCounts) == 7 * sizeof(int64_t),
               "ConsortCounts changed: update append_scheme_result and "
-              "tests/test_parallel_trial.cc accordingly");
+              "expect_identical_trials in tests/test_helpers.hh");
 
 std::vector<SchemeResult> empty_scheme_results(const TrialConfig& config) {
   std::vector<SchemeResult> results;
@@ -60,18 +60,6 @@ std::vector<SchemeResult> empty_scheme_results(const TrialConfig& config) {
     results.back().scheme = name;
   }
   return results;
-}
-
-std::vector<std::unique_ptr<abr::AbrAlgorithm>> make_algorithms(
-    const TrialConfig& config, const SchemeFactory& factory) {
-  std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms;
-  algorithms.reserve(config.schemes.size());
-  for (const auto& name : config.schemes) {
-    algorithms.push_back(factory(name));
-    require(algorithms.back() != nullptr,
-            "run_trial: factory returned null for '" + name + "'");
-  }
-  return algorithms;
 }
 
 void run_session_range(
@@ -120,43 +108,57 @@ void append_scheme_result(SchemeResult& into, SchemeResult& from) {
   into.consort.considered += from.consort.considered;
 }
 
+TrialResult run_trial_serial(const TrialConfig& config,
+                             const SchemeFactory& factory) {
+  require(!config.schemes.empty(),
+          "run_trial_serial: need at least one scheme");
+  std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms;
+  for (const auto& name : config.schemes) {
+    algorithms.push_back(factory(name));
+    require(algorithms.back() != nullptr,
+            "run_trial_serial: factory returned null for '" + name + "'");
+  }
+  const std::unique_ptr<net::PathGenerator> paths =
+      net::make_path_generator(config.scenario);
+  TrialResult trial;
+  trial.schemes = empty_scheme_results(config);
+  run_session_range(config, *paths, Rng{config.seed},
+                    sim::UserModel{config.seed}, algorithms, 0,
+                    num_session_plans(config), trial.schemes);
+  return trial;
+}
+
 }  // namespace detail
+
+namespace {
+
+/// run_trial's fleet: arrivals so sparse (mean gap 10^7 virtual s, longer
+/// than any session) that a shard holds about one session at a time, which
+/// keeps resident path traces at one per shard. Shards are dealt round-robin
+/// and session costs are heavy-tailed, so each worker gets several shards
+/// to balance its load.
+FleetTrialConfig as_fleet_trial(const TrialConfig& config) {
+  constexpr double kSparseArrivalsPerS = 1e-7;
+  constexpr int kShardsPerThread = 4;
+  FleetTrialConfig fleet;
+  fleet.trial = config;
+  fleet.arrivals.rate_per_s = kSparseArrivalsPerS;
+  fleet.num_shards =
+      kShardsPerThread *
+      sim::FleetEngine{{.num_threads = config.num_threads}}
+          .resolved_num_threads();
+  return fleet;
+}
+
+}  // namespace
 
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts) {
-  // Wire an enabled fault plan into scheme assembly (resilient Fugu). The
-  // copied artifacts keep the plan pointer valid for the factory's life.
-  SchemeArtifacts wired = artifacts;
-  if (config.faults.enabled && wired.faults == nullptr) {
-    wired.faults = &config.faults;
-  }
-  return run_trial(config, [wired](const std::string& name) {
-    return make_scheme(name, wired);
-  });
+  return run_fleet_trial(as_fleet_trial(config), artifacts).trial;
 }
 
 TrialResult run_trial(const TrialConfig& config, const SchemeFactory& factory) {
-  require(!config.schemes.empty(), "run_trial: need at least one scheme");
-
-  const int num_threads =
-      ParallelTrialRunner::resolve_num_threads(config.num_threads);
-  if (num_threads > 1) {
-    return ParallelTrialRunner{num_threads}.run(config, factory);
-  }
-
-  const std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms =
-      detail::make_algorithms(config, factory);
-
-  const std::unique_ptr<net::PathGenerator> paths =
-      net::make_path_generator(config.scenario);
-  const sim::UserModel users{config.seed};
-  const Rng master{config.seed};
-
-  TrialResult trial;
-  trial.schemes = detail::empty_scheme_results(config);
-  detail::run_session_range(config, *paths, master, users, algorithms, 0,
-                            detail::num_session_plans(config), trial.schemes);
-  return trial;
+  return run_fleet_trial(as_fleet_trial(config), factory).trial;
 }
 
 }  // namespace puffer::exp

@@ -36,12 +36,11 @@ struct TrialConfig {
   int day = 0;  ///< day tag for collected logs
   sim::StreamRunConfig stream;
   double min_watch_time_s = 4.0;  ///< exclusion threshold (Figure A1)
-  /// Worker threads for the session loop. 0 means "use all hardware
-  /// threads"; 1 forces the serial path. Any value yields bit-identical
-  /// TrialResult contents: sessions are independent given their plan
-  /// (each derives from master.split(session_index) and every scheme fully
-  /// resets per session), and partial results are merged in session-index
-  /// order.
+  /// Worker threads driving the trial's fleet shards (see run_trial). 0
+  /// means "use all hardware threads". Any value yields bit-identical
+  /// TrialResult contents: sessions are independent given their plan (each
+  /// derives from master.split(session_index) and every scheme fully resets
+  /// per session), and partial results are merged in session-index order.
   int num_threads = 0;
   /// Fault-injection plan (disabled by default — the zero-fault contract:
   /// a disabled plan leaves every result byte identical to pre-fault
@@ -82,20 +81,24 @@ struct TrialResult {
 
 /// Run a randomized controlled trial: sessions are blindly assigned to
 /// schemes, streamed over sampled paths with sampled viewer behaviour, and
-/// accounted per Figure A1.
+/// accounted per Figure A1. Executed by run_fleet_trial with arrivals spread
+/// so far apart that each shard holds about one session at a time; the
+/// result is bit-identical to detail::run_trial_serial.
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts);
 
 /// Same, with a custom scheme factory (for experiment arms outside the
 /// standard registry, e.g. stale-TTP Fugu variants in the staleness study).
+/// With num_threads != 1 the factory is called concurrently from the fleet's
+/// shard workers, so it must be safe to call from several threads at once.
 using SchemeFactory =
     std::function<std::unique_ptr<abr::AbrAlgorithm>(const std::string&)>;
 TrialResult run_trial(const TrialConfig& config, const SchemeFactory& factory);
 
 namespace detail {
 
-/// Internal plumbing shared between the serial path, ParallelTrialRunner
-/// and the fleet trial runner.
+/// Internal plumbing shared between the fleet trial runner and the serial
+/// reference below.
 
 /// Number of session plans the trial draws (paired mode replays each plan
 /// for every scheme; RCT mode assigns each plan to exactly one scheme).
@@ -105,19 +108,18 @@ namespace detail {
 [[nodiscard]] std::vector<SchemeResult> empty_scheme_results(
     const TrialConfig& config);
 
-/// One algorithm instance per scheme, in config.schemes order; throws if the
-/// factory returns null. Both the serial path and each parallel worker build
-/// their scheme set through this.
-[[nodiscard]] std::vector<std::unique_ptr<abr::AbrAlgorithm>> make_algorithms(
-    const TrialConfig& config, const SchemeFactory& factory);
+/// The session-sequential reference executor: one algorithm per scheme,
+/// every plan run to completion in session-index order on the calling
+/// thread. It is what tests and bench audits compare the fleet against;
+/// config.num_threads is ignored.
+[[nodiscard]] TrialResult run_trial_serial(const TrialConfig& config,
+                                           const SchemeFactory& factory);
 
 /// Run session plans [begin, end), appending into `results` (one entry per
 /// scheme, config.schemes order). Pure function of (config, paths, master,
-/// users, begin, end) provided every algorithm honours reset_session(): the
-/// serial path is one call over [0, N) and the parallel runner stitches
-/// together consecutive ranges. `paths` is the generator resolved from
-/// config.scenario — built once per trial and shared across workers
-/// (PathGenerator implementations are stateless).
+/// users, begin, end) provided every algorithm honours reset_session().
+/// `paths` is the generator resolved from config.scenario (PathGenerator
+/// implementations are stateless).
 void run_session_range(
     const TrialConfig& config, const net::PathGenerator& paths,
     const Rng& master, const sim::UserModel& users,
@@ -125,9 +127,9 @@ void run_session_range(
     int64_t begin, int64_t end, std::vector<SchemeResult>& results);
 
 /// Merge one partial per-scheme accumulator into `into`, preserving the
-/// order of `from`'s entries. Partial-result runners (parallel chunks,
-/// fleet sessions) merge in ascending session order so the combined result
-/// is bit-identical to the serial loop.
+/// order of `from`'s entries. The fleet merges its per-session partials in
+/// ascending session order, so the combined result is bit-identical to the
+/// serial loop.
 void append_scheme_result(SchemeResult& into, SchemeResult& from);
 
 }  // namespace detail

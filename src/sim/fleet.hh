@@ -90,10 +90,10 @@ class FleetTask {
 };
 
 struct FleetConfig {
-  /// Worker threads. 0 = all hardware threads. With one shard, workers
-  /// stripe each decision batch (the PR 4 scheme); with more shards each
-  /// worker drives whole shards. Any value yields bit-identical per-session
-  /// results: tasks are independent and results land in pre-indexed slots.
+  /// Worker threads. 0 = all hardware threads. Each worker drives whole
+  /// shards, so at most num_shards workers run. Any value yields
+  /// bit-identical per-session results: tasks are independent and results
+  /// land in pre-indexed slots.
   int num_threads = 1;
   /// Event-queue shards. Sessions are assigned to shards by session index
   /// (see shard_group); each shard owns its own event queue, virtual clock,
@@ -156,9 +156,10 @@ struct FleetRunStats {
 /// and (when coalescing is on) have the TTP inference of near-simultaneous
 /// decisions fused into single GEMMs.
 ///
-/// Sharding: with num_shards > 1 the session population is partitioned by
-/// session index and each shard runs its own event queue, virtual clock and
-/// coalescing window on a dedicated ThreadPool worker. Sessions never
+/// Sharding: the session population is partitioned by session index and
+/// each shard runs its own event queue, virtual clock and coalescing window
+/// serially on one ThreadPool worker; shards are the only parallelism.
+/// Sessions never
 /// interact, so a shard's event interleaving is exactly the interleaving
 /// the single queue would have produced restricted to that shard's
 /// sessions — per-session results, the merged load series (shards merge

@@ -29,7 +29,7 @@ namespace puffer {
 /// submits one job per shard, in shard order) surface the same error no
 /// matter how the OS schedules the workers. Callers that need every error,
 /// or want to cancel outstanding work on the first failure, should catch
-/// inside the job instead (see ParallelTrialRunner).
+/// inside the job instead.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (values < 1 are clamped to 1).

@@ -68,8 +68,8 @@ TrialConfig small_trial_config() {
   config.schemes = {"BBA", "MPC-HM"};
   config.sessions_per_scheme = 24;
   config.seed = 7;
-  // Route through the parallel runner on every machine (run_trial shards
-  // across 4 workers); results are bit-identical to serial regardless.
+  // Drive the fleet with 4 workers on every machine; results are
+  // bit-identical to the serial reference regardless.
   config.num_threads = 4;
   return config;
 }
@@ -118,13 +118,13 @@ TEST(Trial, ExclusionBucketsArePopulated) {
 }
 
 TEST(Trial, DeterministicForSeed) {
-  // The shared trial ran through the parallel runner (4 workers); this
-  // fresh run forces the serial path. Equality checks both determinism
-  // across runs and serial/parallel equivalence.
+  // The shared trial ran on the fleet (4 workers); this fresh run uses the
+  // serial reference executor. Equality checks both determinism across runs
+  // and fleet/serial equivalence.
   const SchemeArtifacts none;
-  TrialConfig serial_config = small_trial_config();
-  serial_config.num_threads = 1;
-  const TrialResult a = run_trial(serial_config, none);
+  const TrialResult a = detail::run_trial_serial(
+      small_trial_config(),
+      [&none](const std::string& name) { return make_scheme(name, none); });
   const TrialResult& b = shared_small_trial();
   ASSERT_EQ(a.schemes.size(), b.schemes.size());
   for (size_t s = 0; s < a.schemes.size(); s++) {

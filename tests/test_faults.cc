@@ -26,6 +26,7 @@
 #include "fugu/resilient.hh"
 #include "obs/trace.hh"
 #include "sim/faults.hh"
+#include "test_helpers.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 
@@ -264,45 +265,6 @@ TEST(ResilientPredictor, StatsInvariantsOverManySeeds) {
 // Zero-fault contract and the faulted shard×thread matrix
 // ---------------------------------------------------------------------------
 
-void expect_same_bits(const double a, const double b) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
-}
-
-void expect_identical(const exp::TrialResult& a, const exp::TrialResult& b) {
-  ASSERT_EQ(a.schemes.size(), b.schemes.size());
-  for (size_t s = 0; s < a.schemes.size(); s++) {
-    const exp::SchemeResult& x = a.schemes[s];
-    const exp::SchemeResult& y = b.schemes[s];
-    EXPECT_EQ(x.scheme, y.scheme);
-    EXPECT_EQ(x.consort.sessions, y.consort.sessions);
-    EXPECT_EQ(x.consort.streams, y.consort.streams);
-    EXPECT_EQ(x.consort.never_began, y.consort.never_began);
-    EXPECT_EQ(x.consort.under_min_watch, y.consort.under_min_watch);
-    EXPECT_EQ(x.consort.decoder_failure, y.consort.decoder_failure);
-    EXPECT_EQ(x.consort.truncated, y.consort.truncated);
-    EXPECT_EQ(x.consort.considered, y.consort.considered);
-    ASSERT_EQ(x.considered.size(), y.considered.size());
-    for (size_t i = 0; i < x.considered.size(); i++) {
-      expect_same_bits(x.considered[i].watch_time_s,
-                       y.considered[i].watch_time_s);
-      expect_same_bits(x.considered[i].stall_time_s,
-                       y.considered[i].stall_time_s);
-      expect_same_bits(x.considered[i].startup_delay_s,
-                       y.considered[i].startup_delay_s);
-      expect_same_bits(x.considered[i].ssim_mean_db,
-                       y.considered[i].ssim_mean_db);
-      expect_same_bits(x.considered[i].mean_bitrate_mbps,
-                       y.considered[i].mean_bitrate_mbps);
-      expect_same_bits(x.considered[i].mean_delivery_rate_mbps,
-                       y.considered[i].mean_delivery_rate_mbps);
-    }
-    ASSERT_EQ(x.session_durations_s.size(), y.session_durations_s.size());
-    for (size_t i = 0; i < x.session_durations_s.size(); i++) {
-      expect_same_bits(x.session_durations_s[i], y.session_durations_s[i]);
-    }
-  }
-}
-
 int64_t metric_value(const obs::MetricSnapshot& snapshot,
                      const std::string& name) {
   const obs::MetricSnapshot::Metric* metric = snapshot.find(name);
@@ -353,7 +315,8 @@ TEST(ZeroFault, DisabledPlanBitIdenticalToUnwiredFactory) {
     }
     return exp::make_scheme(name, exp::SchemeArtifacts{});
   };
-  const exp::TrialResult baseline = exp::run_trial(config.trial, unwired);
+  const exp::TrialResult baseline =
+      exp::detail::run_trial_serial(config.trial, unwired);
 
   config.trial.faults.add(sim::kFaultTtpInference, 0.9);  // disabled: inert
   const exp::SchemeArtifacts artifacts = fault_artifacts(&config.trial.faults);
@@ -362,7 +325,7 @@ TEST(ZeroFault, DisabledPlanBitIdenticalToUnwiredFactory) {
     config.trial.num_threads = shards == 1 ? 1 : 4;
     const exp::FleetTrialResult fleet =
         exp::run_fleet_trial(config, artifacts);
-    expect_identical(baseline, fleet.trial);
+    test::expect_identical_trials(baseline, fleet.trial);
     for (const std::string& name : fault_metric_names()) {
       EXPECT_EQ(metric_value(fleet.metrics, name), 0) << name;
     }
@@ -417,7 +380,7 @@ TEST(FaultMatrix, BitIdenticalAcrossShardsAndThreads) {
       config.trial.num_threads = threads;
       const exp::FleetTrialResult fleet =
           exp::run_fleet_trial(config, artifacts);
-      expect_identical(baseline.trial, fleet.trial);
+      test::expect_identical_trials(baseline.trial, fleet.trial);
       EXPECT_EQ(baseline.fleet.sessions, fleet.fleet.sessions);
       EXPECT_EQ(baseline.fleet.decisions, fleet.fleet.decisions);
       for (const std::string& name : fault_metric_names()) {
@@ -448,7 +411,7 @@ TEST(FaultMatrix, LinkOutageShardInvariantUnderContention) {
   config.num_shards = 2;
   config.trial.num_threads = 4;
   const exp::FleetTrialResult two = exp::run_fleet_trial(config, artifacts);
-  expect_identical(one.trial, two.trial);
+  test::expect_identical_trials(one.trial, two.trial);
   EXPECT_EQ(metric_value(one.metrics, "faults.link_outages"),
             metric_value(two.metrics, "faults.link_outages"));
 }
@@ -616,9 +579,10 @@ TEST(CampaignFaults, RetrainCrashKeepsPriorModelOnDegradedDays) {
     // 1 + retrain_retries attempts, all crashed.
     EXPECT_EQ(learner.retrain_crashes, 2);
     // Backoff: base + base*factor, both under the cap.
-    expect_same_bits(learner.retrain_backoff_s,
-                     config.resilience.retrain_backoff_base_s *
-                         (1.0 + config.resilience.retrain_backoff_factor));
+    test::expect_same_bits(
+        learner.retrain_backoff_s,
+        config.resilience.retrain_backoff_base_s *
+            (1.0 + config.resilience.retrain_backoff_factor));
     EXPECT_FALSE(day.arms[0].degraded);  // BBA has no retrain to crash
   }
   // No retrain ever deployed: the arm still serves its day-0 cold model.

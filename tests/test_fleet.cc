@@ -18,6 +18,7 @@
 #include "sim/arrivals.hh"
 #include "sim/fleet.hh"
 #include "stats/load_series.hh"
+#include "test_helpers.hh"
 #include "util/require.hh"
 
 namespace puffer {
@@ -375,64 +376,6 @@ TEST(BatchTtp, SharedBatchCoalescesAcrossSessionsExactly) {
 // Fleet trials
 // ---------------------------------------------------------------------------
 
-void expect_same_bits(const double a, const double b) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
-}
-
-void expect_identical(const exp::TrialResult& a, const exp::TrialResult& b) {
-  ASSERT_EQ(a.schemes.size(), b.schemes.size());
-  for (size_t s = 0; s < a.schemes.size(); s++) {
-    const exp::SchemeResult& x = a.schemes[s];
-    const exp::SchemeResult& y = b.schemes[s];
-    EXPECT_EQ(x.scheme, y.scheme);
-
-    EXPECT_EQ(x.consort.sessions, y.consort.sessions);
-    EXPECT_EQ(x.consort.streams, y.consort.streams);
-    EXPECT_EQ(x.consort.never_began, y.consort.never_began);
-    EXPECT_EQ(x.consort.under_min_watch, y.consort.under_min_watch);
-    EXPECT_EQ(x.consort.decoder_failure, y.consort.decoder_failure);
-    EXPECT_EQ(x.consort.truncated, y.consort.truncated);
-    EXPECT_EQ(x.consort.considered, y.consort.considered);
-
-    ASSERT_EQ(x.considered.size(), y.considered.size());
-    for (size_t i = 0; i < x.considered.size(); i++) {
-      expect_same_bits(x.considered[i].watch_time_s,
-                       y.considered[i].watch_time_s);
-      expect_same_bits(x.considered[i].stall_time_s,
-                       y.considered[i].stall_time_s);
-      expect_same_bits(x.considered[i].startup_delay_s,
-                       y.considered[i].startup_delay_s);
-      expect_same_bits(x.considered[i].ssim_mean_db,
-                       y.considered[i].ssim_mean_db);
-      expect_same_bits(x.considered[i].ssim_variation_db,
-                       y.considered[i].ssim_variation_db);
-      expect_same_bits(x.considered[i].first_chunk_ssim_db,
-                       y.considered[i].first_chunk_ssim_db);
-      expect_same_bits(x.considered[i].mean_bitrate_mbps,
-                       y.considered[i].mean_bitrate_mbps);
-      expect_same_bits(x.considered[i].mean_delivery_rate_mbps,
-                       y.considered[i].mean_delivery_rate_mbps);
-    }
-
-    ASSERT_EQ(x.session_durations_s.size(), y.session_durations_s.size());
-    for (size_t i = 0; i < x.session_durations_s.size(); i++) {
-      expect_same_bits(x.session_durations_s[i], y.session_durations_s[i]);
-    }
-
-    ASSERT_EQ(x.logs.size(), y.logs.size());
-    for (size_t i = 0; i < x.logs.size(); i++) {
-      EXPECT_EQ(x.logs[i].day, y.logs[i].day);
-      ASSERT_EQ(x.logs[i].chunks.size(), y.logs[i].chunks.size());
-      for (size_t c = 0; c < x.logs[i].chunks.size(); c++) {
-        expect_same_bits(x.logs[i].chunks[c].size_mb,
-                         y.logs[i].chunks[c].size_mb);
-        expect_same_bits(x.logs[i].chunks[c].tx_time_s,
-                         y.logs[i].chunks[c].tx_time_s);
-      }
-    }
-  }
-}
-
 /// Schemes exercising all three decision paths: coalesced learned inference
 /// (Fugu via BatchTtpPredictor), classical MPC (default predict_batch) and
 /// a predictor-free scheme.
@@ -466,10 +409,10 @@ exp::FleetTrialConfig fleet_config() {
 TEST(FleetTrial, MatchesSequentialBaselineInRctMode) {
   const exp::FleetTrialConfig config = fleet_config();
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      exp::detail::run_trial_serial(config.trial, fleet_factory());
   const exp::FleetTrialResult fleet =
       exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(sequential, fleet.trial);
+  test::expect_identical_trials(sequential, fleet.trial);
 
   const int64_t total =
       static_cast<int64_t>(config.trial.schemes.size()) *
@@ -489,74 +432,60 @@ TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
   config.trial.paired_paths = true;
   config.trial.sessions_per_scheme = 4;
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      exp::detail::run_trial_serial(config.trial, fleet_factory());
   const exp::FleetTrialResult fleet =
       exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(sequential, fleet.trial);
+  test::expect_identical_trials(sequential, fleet.trial);
 }
 
-/// Acceptance criterion (b): bit-identical results at any thread count —
-/// including the load series the engine records. Pinned to one shard so the
-/// batching counters are comparable too: with a single queue, batch
-/// membership is thread-count-invariant (threads stripe within batches).
-TEST(FleetTrial, BitIdenticalAcrossThreadCounts) {
-  exp::FleetTrialConfig config = fleet_config();
-  config.num_shards = 1;
-  const exp::FleetTrialResult one = exp::run_fleet_trial(config, fleet_factory());
-  for (const int threads : {2, 4}) {
-    config.trial.num_threads = threads;
-    const exp::FleetTrialResult many =
-        exp::run_fleet_trial(config, fleet_factory());
-    expect_identical(one.trial, many.trial);
-    EXPECT_EQ(one.fleet.decisions, many.fleet.decisions);
-    EXPECT_EQ(one.fleet.coalesced_rows, many.fleet.coalesced_rows);
-    EXPECT_EQ(one.fleet.gemm_calls, many.fleet.gemm_calls);
-    ASSERT_EQ(one.fleet.load.points().size(), many.fleet.load.points().size());
-    for (size_t i = 0; i < one.fleet.load.points().size(); i++) {
-      expect_same_bits(one.fleet.load.points()[i].time_s,
-                       many.fleet.load.points()[i].time_s);
-      EXPECT_EQ(one.fleet.load.points()[i].level,
-                many.fleet.load.points()[i].level);
-    }
+void expect_same_load(const stats::LoadSeries& a, const stats::LoadSeries& b) {
+  EXPECT_EQ(a.peak(), b.peak());
+  test::expect_same_bits(a.time_weighted_mean(), b.time_weighted_mean());
+  ASSERT_EQ(a.points().size(), b.points().size());
+  for (size_t i = 0; i < a.points().size(); i++) {
+    test::expect_same_bits(a.points()[i].time_s, b.points()[i].time_s);
+    EXPECT_EQ(a.points()[i].level, b.points()[i].level);
   }
 }
 
-/// Tentpole acceptance: sharding is invisible to results. 1/2/4/8 shards,
-/// coalescing on and off, all bit-identical to the sequential baseline —
-/// including the merged load series and the partition-invariant engine
-/// stats. (The batching counters are *not* compared across shard counts:
-/// batch membership is shard-local by design.)
-TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
-  const exp::TrialResult sequential =
-      exp::run_trial(fleet_config().trial, fleet_factory());
+/// Acceptance criterion (b): shards are the only parallelism, and neither
+/// the shard count (1/2/4/8) nor the worker-thread count (1/2/4) changes a
+/// bit. Every cell, coalescing on and off, equals the serial reference, and
+/// its load series and partition-invariant engine stats equal the one-shard
+/// run's. The batching counters depend on shard-local batch membership, so
+/// they are compared across thread counts at a fixed shard count only.
+TEST(FleetTrial, BitIdenticalAcrossShardAndThreadMatrix) {
+  const exp::TrialResult serial =
+      exp::detail::run_trial_serial(fleet_config().trial, fleet_factory());
   for (const bool coalesce : {true, false}) {
     exp::FleetTrialConfig config = fleet_config();
     config.coalesce_inference = coalesce;
-    config.trial.num_threads = 4;
-    config.num_shards = 1;
-    const exp::FleetTrialResult one =
-        exp::run_fleet_trial(config, fleet_factory());
-    expect_identical(sequential, one.trial);
-    for (const int shards : {2, 4, 8}) {
+    exp::FleetTrialResult one_shard;
+    for (const int shards : {1, 2, 4, 8}) {
       config.num_shards = shards;
-      const exp::FleetTrialResult sharded =
+      config.trial.num_threads = 1;
+      const exp::FleetTrialResult base =
           exp::run_fleet_trial(config, fleet_factory());
-      EXPECT_EQ(sharded.fleet.num_shards, shards);
-      expect_identical(sequential, sharded.trial);
-      EXPECT_EQ(one.fleet.sessions, sharded.fleet.sessions);
-      EXPECT_EQ(one.fleet.decisions, sharded.fleet.decisions);
-      expect_same_bits(one.fleet.virtual_duration_s,
-                       sharded.fleet.virtual_duration_s);
-      EXPECT_EQ(one.fleet.load.peak(), sharded.fleet.load.peak());
-      expect_same_bits(one.fleet.load.time_weighted_mean(),
-                       sharded.fleet.load.time_weighted_mean());
-      ASSERT_EQ(one.fleet.load.points().size(),
-                sharded.fleet.load.points().size());
-      for (size_t i = 0; i < one.fleet.load.points().size(); i++) {
-        expect_same_bits(one.fleet.load.points()[i].time_s,
-                         sharded.fleet.load.points()[i].time_s);
-        EXPECT_EQ(one.fleet.load.points()[i].level,
-                  sharded.fleet.load.points()[i].level);
+      EXPECT_EQ(base.fleet.num_shards, shards);
+      test::expect_identical_trials(serial, base.trial);
+      if (shards == 1) {
+        one_shard = base;
+      }
+      EXPECT_EQ(one_shard.fleet.sessions, base.fleet.sessions);
+      EXPECT_EQ(one_shard.fleet.decisions, base.fleet.decisions);
+      test::expect_same_bits(one_shard.fleet.virtual_duration_s,
+                             base.fleet.virtual_duration_s);
+      expect_same_load(one_shard.fleet.load, base.fleet.load);
+      for (const int threads : {2, 4}) {
+        config.trial.num_threads = threads;
+        const exp::FleetTrialResult run =
+            exp::run_fleet_trial(config, fleet_factory());
+        test::expect_identical_trials(serial, run.trial);
+        EXPECT_EQ(base.fleet.decisions, run.fleet.decisions);
+        EXPECT_EQ(base.fleet.coalesced_rows, run.fleet.coalesced_rows);
+        EXPECT_EQ(base.fleet.gemm_calls, run.fleet.gemm_calls);
+        EXPECT_EQ(base.fleet.inline_decisions, run.fleet.inline_decisions);
+        expect_same_load(base.fleet.load, run.fleet.load);
       }
     }
   }
@@ -571,13 +500,96 @@ TEST(FleetTrial, PairedModeBitIdenticalAcrossShardCounts) {
   config.trial.sessions_per_scheme = 4;
   config.trial.num_threads = 4;
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      exp::detail::run_trial_serial(config.trial, fleet_factory());
   for (const int shards : {1, 2, 4, 8}) {
     config.num_shards = shards;
     const exp::FleetTrialResult fleet =
         exp::run_fleet_trial(config, fleet_factory());
-    expect_identical(sequential, fleet.trial);
+    test::expect_identical_trials(sequential, fleet.trial);
   }
+}
+
+// ---------------------------------------------------------------------------
+// run_trial: the sharded fleet is the one trial executor
+// ---------------------------------------------------------------------------
+
+/// collect_logs is on so the checks also cover merge ordering of the
+/// telemetry stream logs, not just the Figure A1 accounting.
+exp::TrialConfig rct_trial_config() {
+  exp::TrialConfig config;
+  config.schemes = {"BBA", "MPC-HM"};
+  config.sessions_per_scheme = 10;
+  config.seed = 20190119;
+  config.collect_logs = true;
+  config.day = 2;
+  config.num_threads = 1;
+  return config;
+}
+
+exp::TrialConfig paired_trial_config() {
+  exp::TrialConfig config = rct_trial_config();
+  config.paired_paths = true;
+  config.sessions_per_scheme = 6;
+  return config;
+}
+
+exp::TrialResult serial_reference(const exp::TrialConfig& config) {
+  return exp::detail::run_trial_serial(config, [](const std::string& name) {
+    return exp::make_scheme(name, exp::SchemeArtifacts{});
+  });
+}
+
+TEST(RunTrial, MatchesSerialReferenceInRctMode) {
+  const exp::SchemeArtifacts none;
+  exp::TrialConfig config = rct_trial_config();
+  const exp::TrialResult serial = serial_reference(config);
+  for (const int threads : {2, 4, 8}) {
+    config.num_threads = threads;
+    test::expect_identical_trials(serial, exp::run_trial(config, none));
+  }
+}
+
+TEST(RunTrial, MatchesSerialReferenceInPairedMode) {
+  const exp::SchemeArtifacts none;
+  exp::TrialConfig config = paired_trial_config();
+  const exp::TrialResult serial = serial_reference(config);
+  for (const int threads : {2, 4, 8}) {
+    config.num_threads = threads;
+    test::expect_identical_trials(serial, exp::run_trial(config, none));
+  }
+}
+
+TEST(RunTrial, ThreeThreadsMatchSerialReference) {
+  exp::TrialConfig config = rct_trial_config();
+  config.num_threads = 3;
+  test::expect_identical_trials(serial_reference(config),
+                                exp::run_trial(config, exp::SchemeArtifacts{}));
+}
+
+TEST(RunTrial, MoreThreadsThanSessionsIsFine) {
+  exp::TrialConfig config = paired_trial_config();
+  config.sessions_per_scheme = 2;
+  config.num_threads = 16;
+  test::expect_identical_trials(serial_reference(config),
+                                exp::run_trial(config, exp::SchemeArtifacts{}));
+}
+
+TEST(RunTrial, FactoryErrorsPropagate) {
+  exp::TrialConfig config = rct_trial_config();
+  config.schemes = {"HAL9000"};  // unknown scheme: factory throws
+  config.num_threads = 4;
+  EXPECT_THROW(
+      static_cast<void>(exp::run_trial(config, exp::SchemeArtifacts{})),
+      RequirementError);
+}
+
+TEST(FleetEngine, ResolvedNumThreadsIsAtLeastOne) {
+  const auto resolved = [](const int requested) {
+    return sim::FleetEngine{{.num_threads = requested}}.resolved_num_threads();
+  };
+  EXPECT_GE(resolved(0), 1);
+  EXPECT_EQ(resolved(5), 5);
+  EXPECT_GE(resolved(-3), 1);
 }
 
 /// Kill mid-merge: a scheme factory that fails partway through a sharded
@@ -662,7 +674,7 @@ TEST(FleetTrial, CoalescingToggleAndWindowDoNotChangeResults) {
   config.coalesce_inference = false;
   const exp::FleetTrialResult inline_only =
       exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(fused.trial, inline_only.trial);
+  test::expect_identical_trials(fused.trial, inline_only.trial);
   EXPECT_EQ(inline_only.fleet.coalesced_rows, 0);
   EXPECT_EQ(inline_only.fleet.gemm_calls, 0);
 
@@ -671,7 +683,7 @@ TEST(FleetTrial, CoalescingToggleAndWindowDoNotChangeResults) {
   config.coalesce_window_s = 0.01;
   const exp::FleetTrialResult narrow =
       exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(fused.trial, narrow.trial);
+  test::expect_identical_trials(fused.trial, narrow.trial);
 }
 
 TEST(FleetTrial, FlashCrowdDrivesConcurrencySpike) {
@@ -718,22 +730,16 @@ TEST(FleetTrial, ContentionBitIdenticalAcrossShardAndThreadCounts) {
       config.trial.num_threads = threads;
       const exp::FleetTrialResult run =
           exp::run_fleet_trial(config, fleet_factory());
-      expect_identical(baseline.trial, run.trial);
+      test::expect_identical_trials(baseline.trial, run.trial);
       EXPECT_EQ(baseline.fleet.sessions, run.fleet.sessions);
       EXPECT_EQ(baseline.fleet.decisions, run.fleet.decisions);
-      expect_same_bits(baseline.fleet.virtual_duration_s,
-                       run.fleet.virtual_duration_s);
-      ASSERT_EQ(baseline.fleet.load.points().size(),
-                run.fleet.load.points().size());
-      for (size_t i = 0; i < baseline.fleet.load.points().size(); i++) {
-        expect_same_bits(baseline.fleet.load.points()[i].time_s,
-                         run.fleet.load.points()[i].time_s);
-        EXPECT_EQ(baseline.fleet.load.points()[i].level,
-                  run.fleet.load.points()[i].level);
-      }
+      test::expect_same_bits(baseline.fleet.virtual_duration_s,
+                             run.fleet.virtual_duration_s);
+      expect_same_load(baseline.fleet.load, run.fleet.load);
       ASSERT_EQ(baseline.group_fairness.size(), run.group_fairness.size());
       for (size_t g = 0; g < baseline.group_fairness.size(); g++) {
-        expect_same_bits(baseline.group_fairness[g], run.group_fairness[g]);
+        test::expect_same_bits(baseline.group_fairness[g],
+                               run.group_fairness[g]);
       }
     }
   }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/registry.hh"
 #include "exp/trial.hh"
 #include "net/scenario.hh"
 #include "net/trace_file.hh"
@@ -34,7 +35,7 @@ struct GoldenRow {
 
 // Pinned with PUFFER_UPDATE_GOLDEN=1 at the introduction of the scenario
 // engine. Each row aggregates one 2-scheme x 6-session RCT (seed 20190119)
-// over the named family, run through the parallel runner (3 workers).
+// over the named family, run with 3 workers.
 //
 // Regenerated when the contention families landed, for two reasons: three
 // new rows (cell-shared, edge-contention, wifi-home), and two
@@ -88,7 +89,7 @@ Aggregates run_family(const std::string& family) {
   config.schemes = {"BBA", "MPC-HM"};
   config.sessions_per_scheme = 6;
   config.seed = 20190119;
-  config.num_threads = 3;  // pin through the parallel runner
+  config.num_threads = 3;  // multi-worker, like the pinning run
   config.scenario = net::ScenarioSpec{family};
   if (family == "trace-replay") {
     config.scenario.trace_path = golden_trace_path();
@@ -163,21 +164,21 @@ TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
 }
 
 TEST(GoldenTrial, GoldenRunIsThreadCountInvariant) {
-  // The pinned values came from a 3-worker run; the serial path must agree
-  // exactly (the parallel runner's core guarantee, re-checked here on the
-  // golden config so the goldens stay meaningful on any machine).
+  // The pinned values came from a 3-worker run; the serial reference
+  // executor must agree exactly (the fleet's core guarantee, re-checked here
+  // on the golden config so the goldens stay meaningful on any machine).
   TrialConfig parallel_config;
   parallel_config.schemes = {"BBA", "MPC-HM"};
   parallel_config.sessions_per_scheme = 6;
   parallel_config.seed = 20190119;
   parallel_config.scenario = net::ScenarioSpec{"cellular"};
   parallel_config.num_threads = 3;
-  TrialConfig serial_config = parallel_config;
-  serial_config.num_threads = 1;
 
   const SchemeArtifacts none;
   const TrialResult parallel = run_trial(parallel_config, none);
-  const TrialResult serial = run_trial(serial_config, none);
+  const TrialResult serial = detail::run_trial_serial(
+      parallel_config,
+      [&none](const std::string& name) { return make_scheme(name, none); });
   ASSERT_EQ(parallel.schemes.size(), serial.schemes.size());
   for (size_t s = 0; s < parallel.schemes.size(); s++) {
     ASSERT_EQ(parallel.schemes[s].considered.size(),
