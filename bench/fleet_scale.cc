@@ -1,17 +1,16 @@
-// fleet_scale: throughput of the fleet engine and of batched TTP inference.
+// fleet_scale: throughput of the fleet engine, with bitwise audits.
 //
 //   ./fleet_scale [--smoke] [--sessions N] [--arrivals poisson|diurnal|flash-crowd]
 //                 [--rate R] [--threads T] [--shards S] [--contention]
 //                 [--faults] [--json PATH] [--trace-out PATH]
 //                 [--metrics-out PATH]
 //
-// Part 1 microbenchmarks one ABR decision's worth of TTP inference three
-// ways — scalar forward_one per (step, rung), per-decision fused GEMMs, and
-// fleet-style coalescing across sessions — auditing that all three agree
-// bit for bit before timing them. Part 2 runs a (sharded) fleet trial and
-// reports sessions/sec, chunks/sec and the concurrency profile next to the
-// session-sequential baseline, auditing that the merged trial is
-// bit-identical to it. Part 3 sweeps the sharded engine over a
+// Part 1 audits that per-decision fused-GEMM TTP inference answers every
+// query bit for bit like the scalar forward_one path (the rows/s of both
+// are bench/nn_kernels.cc's numbers, in BENCH_nn.json). Part 2 runs a
+// (sharded) fleet trial and reports sessions/sec, chunks/sec and the
+// concurrency profile next to the session-sequential baseline, auditing
+// that the merged trial is bit-identical to it. Part 3 sweeps the sharded engine over a
 // sessions-scale curve (10^2 -> 10^6 synthetic sessions), auditing at each
 // point that the sharded run's merged load series matches the single-queue
 // run bit for bit. Results land in BENCH_fleet.json (override with --json)
@@ -133,69 +132,32 @@ bool same_bits(const std::vector<abr::TxTimeDistribution>& a,
   return true;
 }
 
-struct InferenceNumbers {
-  double scalar_rows_per_s = 0.0;
-  double batched_rows_per_s = 0.0;
-  bool identical = false;
-};
-
-/// Batched-vs-scalar inference microbenchmark (and bitwise audit). The
-/// cross-session coalescing on top of this is measured by the fleet run
-/// below (coalesced rows / GEMM calls).
-InferenceNumbers bench_inference(const int decisions) {
+/// Bitwise audit of batched TTP inference: per-decision fused GEMMs must
+/// answer every query exactly as the scalar forward_one path does. The
+/// rows/s of both paths are bench/nn_kernels.cc's numbers (BENCH_nn.json);
+/// the cross-session coalescing on top is measured by the fleet run below
+/// (coalesced rows / GEMM calls).
+bool audit_batched_inference(const int decisions) {
   const auto model =
       std::make_shared<fugu::TtpModel>(fugu::TtpConfig{}, 20190119);
   const int horizon = model->config().horizon;
 
   Rng rng{1};
-  std::vector<DecisionInputs> inputs;
-  inputs.reserve(static_cast<size_t>(decisions));
-  for (int d = 0; d < decisions; d++) {
-    inputs.push_back(make_decision(rng, horizon));
-  }
-  const double rows =
-      static_cast<double>(decisions) * horizon * media::kNumRungs;
-
-  InferenceNumbers numbers;
-  std::vector<abr::TxTimeDistribution> out, expected;
-
-  // Only the predict_batch calls are timed: the per-decision priming
-  // (reset + history replay + begin_decision) is identical on both paths
-  // and would otherwise dilute the ratio the JSON entry tracks.
-  double scalar_s = 0.0, batched_s = 0.0;
-
-  // Scalar: forward_one per (step, rung) — the legacy TtpPredictor path.
   fugu::TtpPredictor scalar{model};
-  for (const DecisionInputs& decision : inputs) {
-    prime_predictor(scalar, decision);
-    const auto start = std::chrono::steady_clock::now();
-    scalar.predict_batch(decision.queries, out);  // default loop
-    scalar_s += seconds_since(start);
-  }
-  numbers.scalar_rows_per_s = rows / scalar_s;
-
-  // Per-decision fused GEMMs.
   fugu::BatchTtpPredictor batched{model};
-  for (const DecisionInputs& decision : inputs) {
-    prime_predictor(batched, decision);
-    const auto start = std::chrono::steady_clock::now();
-    batched.predict_batch(decision.queries, out);
-    batched_s += seconds_since(start);
-  }
-  numbers.batched_rows_per_s = rows / batched_s;
-
-  // Bitwise audit: scalar vs batched on every decision.
-  numbers.identical = true;
-  for (const DecisionInputs& decision : inputs) {
+  std::vector<abr::TxTimeDistribution> out, expected;
+  bool identical = true;
+  for (int d = 0; d < decisions; d++) {
+    const DecisionInputs decision = make_decision(rng, horizon);
     prime_predictor(scalar, decision);
-    scalar.predict_batch(decision.queries, expected);
+    scalar.predict_batch(decision.queries, expected);  // default loop
     prime_predictor(batched, decision);
     batched.predict_batch(decision.queries, out);
     if (!same_bits(expected, out)) {
-      numbers.identical = false;
+      identical = false;
     }
   }
-  return numbers;
+  return identical;
 }
 
 exp::SchemeFactory fleet_factory() {
@@ -543,17 +505,11 @@ int main(int argc, char** argv) {
     sessions = 30;
   }
 
-  // Part 1: batched-vs-scalar TTP inference.
-  std::printf("== batched TTP inference (%s) ==\n",
-              smoke ? "smoke" : "full");
-  const InferenceNumbers inference = bench_inference(smoke ? 200 : 2000);
-  std::printf("  scalar forward_one : %12.0f rows/s\n",
-              inference.scalar_rows_per_s);
-  std::printf("  per-decision GEMM  : %12.0f rows/s  (%.2fx)\n",
-              inference.batched_rows_per_s,
-              inference.batched_rows_per_s / inference.scalar_rows_per_s);
+  // Part 1: batched-vs-scalar TTP inference audit.
+  const bool inference_identical = audit_batched_inference(smoke ? 200 : 2000);
+  std::printf("== batched TTP inference ==\n");
   std::printf("  bitwise identical  : %s\n",
-              inference.identical ? "yes" : "NO — MISMATCH");
+              inference_identical ? "yes" : "NO — MISMATCH");
 
   // Part 2: fleet trial vs the session-sequential baseline.
   exp::FleetTrialConfig config;
@@ -821,11 +777,7 @@ int main(int argc, char** argv) {
   puffer::bench::JsonWriter json;
   json.field("bench", "fleet_scale");
   json.field("smoke", smoke);
-  json.field("ttp_scalar_rows_per_s", inference.scalar_rows_per_s, 0);
-  json.field("ttp_batched_rows_per_s", inference.batched_rows_per_s, 0);
-  json.field("ttp_batched_speedup",
-             inference.batched_rows_per_s / inference.scalar_rows_per_s, 3);
-  json.field("ttp_bitwise_identical", inference.identical);
+  json.field("ttp_bitwise_identical", inference_identical);
   json.field("fleet_sessions", static_cast<int64_t>(fleet.fleet.sessions));
   json.field("fleet_sessions_per_s", sessions_per_s, 2);
   json.field("fleet_chunks_per_s", chunks_per_s, 1);
@@ -904,7 +856,7 @@ int main(int argc, char** argv) {
   }
   json.write_file(json_path);
 
-  if (!inference.identical || !figures_identical || !curve_identical ||
+  if (!inference_identical || !figures_identical || !curve_identical ||
       !contention_identical || !faults_identical) {
     std::fprintf(stderr, "fleet_scale: BITWISE AUDIT FAILED\n");
     return 1;

@@ -43,15 +43,34 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.buffer_bin_s > 0.0, "StochasticMpc: bin size must be > 0");
   num_bins_ =
       static_cast<int>(std::ceil(config_.max_buffer_s / config_.buffer_bin_s));
-  const size_t states = static_cast<size_t>(config_.horizon + 1) *
-                        static_cast<size_t>(num_bins_ + 1) * media::kNumRungs;
-  memo_value_.assign(states, 0.0);
-  memo_epoch_.assign(states, 0);
 }
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
   const double clamped = std::clamp(buffer_s, 0.0, config_.max_buffer_s);
   return static_cast<int>(std::lround(clamped / config_.buffer_bin_s));
+}
+
+const int* StochasticMpc::next_bin_row(const double tx_time_s) {
+  const size_t bins = static_cast<size_t>(num_bins_) + 1;
+  size_t row = 0;
+  while (row < next_bin_row_times_.size() &&
+         next_bin_row_times_[row] != tx_time_s) {
+    row++;
+  }
+  if (row == next_bin_row_times_.size()) {
+    next_bin_row_times_.push_back(tx_time_s);
+    next_bin_rows_.resize(next_bin_row_times_.size() * bins);
+    int* out = next_bin_rows_.data() + row * bins;
+    for (size_t b = 0; b < bins; b++) {
+      const double buffer_s = static_cast<int>(b) * config_.buffer_bin_s;
+      const double next_buffer =
+          std::min(std::max(buffer_s - tx_time_s, 0.0) +
+                       config_.chunk_duration_s,
+                   config_.max_buffer_s);
+      out[b] = buffer_to_bin(next_buffer);
+    }
+  }
+  return next_bin_rows_.data() + row * bins;
 }
 
 size_t StochasticMpc::state_index(const int step, const int buffer_bin,
@@ -144,13 +163,16 @@ int StochasticMpc::plan(const AbrObservation& obs,
   expect_base_.resize(static_cast<size_t>(R) * bins);
   switch_penalty_.resize(static_cast<size_t>(R) * R);
 
+  next_bin_row_times_.clear();
+
   for (int step = effective_horizon_ - 1; step >= 1; step--) {
     // 1. Fold the outcome expectation once per (action, bin):
     //      expect_base_[a][b] = sum_o p_o * (V[step+1][nb][a] - mu * stall)
-    //    The bin transition nb and stall cost of each (step, action,
-    //    outcome) are computed once per plan here — the maximization below
-    //    never touches buffer_to_bin again, and (unlike the recursion) the
-    //    expectation no longer re-runs per previous rung.
+    //    The bin transition nb of each outcome time is one next-bin row,
+    //    built once per plan and shared by every (step, action, outcome)
+    //    with that time (Fugu's outcomes are the 21 TTP bin midpoints).
+    //    The maximization below never touches buffer_to_bin, and (unlike
+    //    the recursion) the expectation no longer re-runs per previous rung.
     for (int action = 0; action < R; action++) {
       double* base = expect_base_.data() + static_cast<size_t>(action) * bins;
       std::fill(base, base + bins, 0.0);
@@ -160,14 +182,11 @@ int StochasticMpc::plan(const AbrObservation& obs,
       for (const TxTimeOutcome& outcome : dist) {
         const double t = outcome.time_s;
         const double p = outcome.probability;
+        const int* next_bin = next_bin_row(t);
         for (int b = 0; b < bins; b++) {
           const double buffer_s = b * config_.buffer_bin_s;
           const double stall = t > buffer_s ? t - buffer_s : 0.0;
-          const double next_buffer =
-              std::min(std::max(buffer_s - t, 0.0) + config_.chunk_duration_s,
-                       config_.max_buffer_s);
-          const int nb = buffer_to_bin(next_buffer);
-          base[b] += p * (value_next_[static_cast<size_t>(nb) * R +
+          base[b] += p * (value_next_[static_cast<size_t>(next_bin[b]) * R +
                                       static_cast<size_t>(action)] -
                           config_.mu * stall);
         }
@@ -268,6 +287,15 @@ int StochasticMpc::plan_reference(
     const std::span<const media::ChunkOptions> lookahead,
     TxTimePredictor& predictor) {
   prepare_plan(lookahead, predictor);
+  if (memo_epoch_.empty()) {
+    // Allocated on first use: only the equivalence tests call this path,
+    // and every planner in a fleet would otherwise carry the memo.
+    const size_t states = static_cast<size_t>(config_.horizon + 1) *
+                          static_cast<size_t>(num_bins_ + 1) *
+                          media::kNumRungs;
+    memo_value_.assign(states, 0.0);
+    memo_epoch_.assign(states, 0);
+  }
   epoch_++;
 
   int best_action = 0;

@@ -33,8 +33,8 @@ struct MpcConfig {
 /// plan() runs the dynamic program as an iterative backward sweep over the
 /// (step x buffer-bin x previous-rung) lattice: per step, the expectation
 /// over transmission-time outcomes is folded once per (action, bin) — with
-/// the bin transition and stall cost of each (action, outcome) computed once
-/// per plan — and the per-(bin, prev-rung) maximization then reads those
+/// the bin transition of each distinct outcome time computed once per plan
+/// as a next-bin row — and the per-(bin, prev-rung) maximization reads those
 /// folded values. No recursion, no memo probing, and the outcome loop no
 /// longer repeats per previous rung (a kNumRungs-fold reduction in
 /// expectation work vs. the memoized recursion). plan_reference() retains
@@ -73,6 +73,11 @@ class StochasticMpc {
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
   [[nodiscard]] size_t state_index(int step, int buffer_bin, int prev_rung) const;
 
+  /// The next-bin row of an outcome time: row[b] = buffer_to_bin of the
+  /// buffer after a chunk taking `tx_time_s` is sent from bin b. Built on
+  /// first use within a plan; the pointer is valid until the next call.
+  const int* next_bin_row(double tx_time_s);
+
   /// Shared plan setup: cache the lookahead, issue all (step x rung)
   /// queries in one predict_batch call, prune the distributions.
   void prepare_plan(std::span<const media::ChunkOptions> lookahead,
@@ -109,8 +114,11 @@ class StochasticMpc {
   std::vector<double> value_next_;
   std::vector<double> expect_base_;  // [action * (num_bins_+1) + bin]
   std::vector<double> switch_penalty_;  // [action * kNumRungs + prev_rung]
+  std::vector<double> next_bin_row_times_;  // [row], distinct in this plan
+  std::vector<int> next_bin_rows_;          // [row * (num_bins_+1) + bin]
 
-  // Reference-path memo (epoch-tagged; untouched by plan()).
+  // Reference-path memo (epoch-tagged; untouched by plan(); allocated by
+  // the first plan_reference() call).
   std::vector<double> memo_value_;
   std::vector<uint32_t> memo_epoch_;
   uint32_t epoch_ = 0;

@@ -36,8 +36,10 @@ class BbrModel final : public CongestionControl {
   double mss_bytes_;
   Mode mode_ = Mode::kStartup;
 
-  // Windowed max filter for bottleneck bandwidth: (timestamp, rate) samples
-  // within the last kBwWindowS seconds.
+  // Windowed max filter for bottleneck bandwidth (BBR's 10 s BtlBw window),
+  // kept as a monotonic deque of (timestamp, rate) with strictly decreasing
+  // rate from the front. Sample times never decrease, so the front is
+  // exactly the max over the window's samples.
   std::deque<std::pair<double, double>> bw_samples_;
   double btl_bw_bps_ = 0.0;
 

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "abr/mpc.hh"
 #include "abr/mpc_abr.hh"
 #include "abr/throughput_predictors.hh"
+#include "fugu/ttp.hh"
 #include "test_helpers.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
@@ -411,6 +416,160 @@ TEST(Mpc, IterativePlanDeterministicAcrossRepeatedRuns) {
   for (int repeat = 0; repeat < 3; repeat++) {
     EXPECT_EQ(mpc.plan(obs, lookahead, predictor), first);
     EXPECT_EQ(mpc.last_plan_value(), first_value);  // bitwise
+  }
+}
+
+/// Seeded lattice families for the bitwise pins below. Each predictor is a
+/// pure function of (step, size), so every plan of a lattice sees the same
+/// distributions.
+enum class PinFamily {
+  kPointMass,  // one outcome per query, HM-like
+  kTtpBins,    // weights over Fugu's 21 TTP bin midpoints, TTP-like
+  kBinEdges,   // outcomes exactly on buffer-bin edges (t = k * bin)
+  kAboveMax,   // outcomes at and beyond max_buffer_s
+};
+
+TxTimeDistribution pinned_distribution(const PinFamily family,
+                                       const uint64_t seed, const int step,
+                                       const int64_t size) {
+  Rng rng{seed ^ (static_cast<uint64_t>(step) << 48) ^
+          static_cast<uint64_t>(size)};
+  const double bps = Rng{seed}.uniform(0.3e6, 20e6) / 8.0;
+  const double t0 = static_cast<double>(size) / bps;
+  TxTimeDistribution dist;
+  switch (family) {
+    case PinFamily::kPointMass:
+      dist.push_back({t0 * rng.uniform(0.8, 1.25), 1.0});
+      break;
+    case PinFamily::kTtpBins:
+      for (int bin = 0; bin < fugu::kTtpBins; bin++) {
+        const double mid = fugu::ttp_bin_midpoint(bin);
+        const double z = (mid - t0) / (0.3 + 0.5 * t0);
+        // The tail weights fall below prune_probability on most queries.
+        dist.push_back({mid, std::exp(-0.5 * z * z) + 1e-6 * rng.uniform()});
+      }
+      break;
+    case PinFamily::kBinEdges: {
+      const int n = 1 + static_cast<int>(rng.uniform_int(0, 2));
+      for (int i = 0; i < n; i++) {
+        dist.push_back({0.25 * static_cast<double>(rng.uniform_int(0, 60)),
+                        rng.uniform(0.1, 1.0)});
+      }
+      break;
+    }
+    case PinFamily::kAboveMax:
+      dist.push_back({std::min(t0, 15.0), rng.uniform(0.2, 1.0)});
+      dist.push_back({15.0, rng.uniform(0.05, 0.3)});
+      dist.push_back({15.25, rng.uniform(0.05, 0.3)});
+      dist.push_back({rng.uniform(15.0, 40.0), rng.uniform(0.05, 0.3)});
+      break;
+  }
+  double mass = 0.0;
+  for (const auto& outcome : dist) {
+    mass += outcome.probability;
+  }
+  for (auto& outcome : dist) {
+    outcome.probability /= mass;
+  }
+  return dist;
+}
+
+struct PlanPin {
+  PinFamily family;
+  uint64_t seed;
+  double buffer_s;
+  double prev_ssim_db;
+  std::array<double, media::kNumRungs> root_values;
+  double plan_value;
+};
+
+/// Bitwise pins of plan() on seeded lattices. plan_reference() agrees with
+/// plan() only up to reassociation, and the golden trials pin BBA/MPC-HM
+/// only, so these literals are what catches a bit drift of the sweep on
+/// TTP-shaped distributions. Regenerate them only for a deliberate change of
+/// the planner's arithmetic, never for a speedup.
+TEST(Mpc, PlanBitsPinnedOnSeededLattices) {
+  const std::vector<PlanPin> pins = {
+      {PinFamily::kPointMass, 11, 3.7, 14.0,
+       {0x1.eb539a47275cep+5, 0x1.076e2920c4f6ep+6, 0x1.179d498ec217ep+6,
+        0x1.226832d48e447p+6, 0x1.2cfb42f0ffcb9p+6, 0x1.2ba3c587a1a7p+6,
+        0x1.29140f06fb996p+6, 0x1.243cf9e2d9ceap+6, 0x1.1fa0b21211aa3p+6,
+        0x1.2a98707c9c66cp+3},
+       0x1.2cfb42f0ffcb9p+6},
+      {PinFamily::kPointMass, 12, 0.0, -1.0,
+       {0x1.05f7a608f5e69p+6, 0x1.07deead3874ccp+6, 0x1.01e2bdc3320a7p+6,
+        0x1.f908dbb1ad668p+5, 0x1.ad85ee65b3d9dp+5, 0x1.37e6b400d9abbp+5,
+        0x1.5a2b3e49962efp+5, 0x1.dcfd2aa5000ap+4, 0x1.36a2713a0d3bp+4,
+        -0x1.0805fcd95fcp+3},
+       0x1.07deead3874ccp+6},
+      {PinFamily::kTtpBins, 21, 6.3, 14.0,
+       {0x1.005b3b172d026p+6, 0x1.1466f5b7da08p+6, 0x1.24961625d729p+6,
+        0x1.31a85e0f1f12cp+6, 0x1.3c3b6e2b9099ep+6, 0x1.3fbb05e6544p+6,
+        0x1.424abc66fa4d9p+6, 0x1.44921b0a760adp+6, 0x1.469eac5a9820ep+6,
+        0x1.4822950653ce1p+6},
+       0x1.4822950653ce1p+6},
+      {PinFamily::kTtpBins, 22, 1.1, 12.0,
+       {0x1.026b1c842670bp+6, 0x1.163bd1a53c189p+6, 0x1.259a946b8b2e3p+6,
+        0x1.28816fd1da4a7p+6, 0x1.278ea7e24eb93p+6, 0x1.1cae7bb90ebabp+6,
+        0x1.066f16e8cad67p+6, 0x1.bc7a95a5cffa2p+5, 0x1.488ef68e0fceep+5,
+        0x1.a57ac5cfa1bbep+4},
+       0x1.28816fd1da4a7p+6},
+      {PinFamily::kTtpBins, 23, 14.9, 16.5,
+       {0x1.ecb6762e5a04ep+5, 0x1.0a66f5b7da08p+6, 0x1.1a961625d729p+6,
+        0x1.27a85e0f1f12cp+6, 0x1.327e6af934135p+6, 0x1.3cfd32297f06p+6,
+        0x1.44ac55ab712ebp+6, 0x1.4b827195e4666p+6, 0x1.509eac5a9821ap+6,
+        0x1.5222950653d18p+6},
+       0x1.5222950653d18p+6},
+      {PinFamily::kBinEdges, 31, 5.0, 14.0,
+       {-0x1.97276c994dbc5p+9, -0x1.b80d958d8459p+9, -0x1.014bb3baa409ep+9,
+        -0x1.176d670da225dp+10, -0x1.588411c234e27p+9, -0x1.6187658c34d4dp+9,
+        -0x1.7b32880f1bda7p+8, -0x1.0852d91c5a985p+9, -0x1.ede3958518452p+8,
+        -0x1.fc256b045d982p+9},
+       -0x1.7b32880f1bda7p+8},
+      {PinFamily::kBinEdges, 32, 0.25, -1.0,
+       {-0x1.3deaa84e6b313p+10, -0x1.1b667b2bd96bep+10, -0x1.6781f2184f6e6p+9,
+        -0x1.49d16a61c988cp+10, -0x1.fbf397b64f01ep+9, -0x1.e86906c012f0ap+8,
+        -0x1.1d06d5085a332p+10, -0x1.4e9a41b004bc3p+10, -0x1.4fe954e6021f8p+10,
+        -0x1.039a41b004bc2p+10},
+       -0x1.e86906c012f0ap+8},
+      {PinFamily::kAboveMax, 41, 15.0, 16.0,
+       {-0x1.6700a51a25366p+10, -0x1.5b80c8c43da41p+10, -0x1.78ab065a372cep+10,
+        -0x1.d2436a12476abp+10, -0x1.9db5269ae9558p+10, -0x1.a9f7b97a2adaap+10,
+        -0x1.54edcba4726c2p+10, -0x1.b41604389ae22p+10, -0x1.8b6da9745b9efp+10,
+        -0x1.55e905d0e6404p+10},
+       -0x1.54edcba4726c2p+10},
+      {PinFamily::kAboveMax, 42, 2.5, 11.0,
+       {-0x1.47ff778a09cc3p+11, -0x1.4aae14f4c2091p+11, -0x1.15810a9bcd81cp+11,
+        -0x1.572314b1c8112p+11, -0x1.4fadee5ff4fffp+11, -0x1.380b1173f13b4p+11,
+        -0x1.3ccf1e8c3258ep+11, -0x1.4fcbc45d0c555p+11, -0x1.575384c49be27p+11,
+        -0x1.7290a26946a0fp+11},
+       -0x1.15810a9bcd81cp+11},
+  };
+  ASSERT_FALSE(pins.empty());
+  for (const PlanPin& pin : pins) {
+    StochasticMpc mpc;
+    ScriptedPredictor predictor{[&pin](const int step, const int64_t size) {
+      return pinned_distribution(pin.family, pin.seed, step, size);
+    }};
+    AbrObservation obs;
+    obs.buffer_s = pin.buffer_s;
+    obs.prev_ssim_db = pin.prev_ssim_db;
+    const auto lookahead = make_lookahead(5);
+    mpc.plan(obs, lookahead, predictor);
+    const std::span<const double> roots = mpc.last_root_values();
+    ASSERT_EQ(roots.size(), pin.root_values.size());
+    for (size_t a = 0; a < roots.size(); a++) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(roots[a]),
+                std::bit_cast<uint64_t>(pin.root_values[a]))
+          << "family " << static_cast<int>(pin.family) << " seed " << pin.seed
+          << " action " << a << ": got " << std::hexfloat << roots[a]
+          << ", pinned " << pin.root_values[a];
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(mpc.last_plan_value()),
+              std::bit_cast<uint64_t>(pin.plan_value))
+        << "family " << static_cast<int>(pin.family) << " seed " << pin.seed
+        << ": got " << std::hexfloat << mpc.last_plan_value() << ", pinned "
+        << pin.plan_value;
   }
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/bbr.hh"
 #include "net/cubic.hh"
@@ -362,6 +367,93 @@ TEST(Bbr, MinRttWindowExpiresStaleSamples) {
     bbr.on_sample(sample);
   }
   EXPECT_DOUBLE_EQ(bbr.min_rtt_s(), 0.200);
+}
+
+/// BtlBw is a 10 s windowed max (Cardwell et al., ACM Queue 2016). The
+/// filter must equal, bit for bit after every sample, a brute-force max over
+/// every usable sample no older than 10 s, on seeded streams that cover:
+/// app-limited samples above and below the current max, runs of equal rates,
+/// samples landing exactly on the `now - 10 s` edge, and idle gaps that empty
+/// the window. Timestamps sit on a 1/8 s grid so `t + 10 - 10 == t` exactly.
+TEST(Bbr, BtlBwFilterMatchesBruteForceWindowedMax) {
+  constexpr double kWindowS = 10.0;
+  int app_limited_above = 0;
+  int app_limited_below = 0;
+  int equal_runs = 0;
+  int edge_hits = 0;
+  int emptied = 0;
+  for (uint64_t seed = 1; seed <= 40; seed++) {
+    Rng rng{seed};
+    BbrModel bbr;
+    std::vector<std::pair<double, double>> window;  // every usable sample
+    double oracle = 0.0;
+    double now = 0.0;
+    double last_rate = 0.0;
+    std::vector<double> times;
+    for (int i = 0; i < 600; i++) {
+      const double kind = rng.uniform();
+      if (kind < 0.03) {
+        now += 0.125 * static_cast<double>(rng.uniform_int(81, 240));  // gap
+      } else if (kind < 0.10 && !times.empty()) {
+        // Land exactly on the window edge of an earlier sample.
+        const double edge = times[static_cast<size_t>(rng.uniform_int(
+                                0, static_cast<int64_t>(times.size()) - 1))] +
+                            kWindowS;
+        now = std::max(now, edge);
+        edge_hits += now == edge ? 1 : 0;
+      } else {
+        now += 0.125 * static_cast<double>(rng.uniform_int(0, 4));
+      }
+      CcSample sample;
+      sample.now_s = now;
+      sample.dt_s = 0.01;
+      sample.rtt_sample_s = 0.05;
+      sample.min_rtt_s = 0.05;
+      sample.app_limited = rng.uniform() < 0.3;
+      const double pick = rng.uniform();
+      if (pick < 0.25 && last_rate > 0.0) {
+        sample.delivery_rate_bps = last_rate;
+      } else if (pick < 0.35 && oracle > 0.0) {
+        sample.delivery_rate_bps = oracle * rng.uniform(1.0, 1.5);
+      } else if (pick < 0.40) {
+        sample.delivery_rate_bps = 0.0;
+      } else {
+        sample.delivery_rate_bps =
+            kMbps * static_cast<double>(rng.uniform_int(1, 8));
+      }
+      if (sample.app_limited && sample.delivery_rate_bps > 0.0) {
+        (sample.delivery_rate_bps > oracle ? app_limited_above
+                                           : app_limited_below)++;
+      }
+      equal_runs += sample.delivery_rate_bps == last_rate ? 1 : 0;
+      last_rate = sample.delivery_rate_bps;
+
+      const bool usable = !sample.app_limited || sample.delivery_rate_bps > oracle;
+      if (usable && sample.delivery_rate_bps > 0.0) {
+        window.emplace_back(now, sample.delivery_rate_bps);
+        times.push_back(now);
+      }
+      std::erase_if(window, [now](const std::pair<double, double>& s) {
+        return s.first < now - kWindowS;
+      });
+      const double before = oracle;
+      oracle = 0.0;
+      for (const auto& [when, rate] : window) {
+        oracle = std::max(oracle, rate);
+      }
+      emptied += before > 0.0 && window.empty() ? 1 : 0;
+
+      bbr.on_sample(sample);
+      ASSERT_EQ(std::bit_cast<uint64_t>(bbr.btl_bw_bps()),
+                std::bit_cast<uint64_t>(oracle))
+          << "seed " << seed << " sample " << i << " at t=" << now;
+    }
+  }
+  EXPECT_GT(app_limited_above, 0);
+  EXPECT_GT(app_limited_below, 0);
+  EXPECT_GT(equal_runs, 0);
+  EXPECT_GT(edge_hits, 0);
+  EXPECT_GT(emptied, 0);
 }
 
 TEST(Bbr, HighRttPathReachesFullBdpCwnd) {
