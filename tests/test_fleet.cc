@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "abr/bba.hh"
 #include "exp/fleet_trial.hh"
@@ -766,6 +770,137 @@ TEST(FleetTrial, ContentionGroupShapeAndFairness) {
       EXPECT_GT(fairness, 0.0);
       EXPECT_LE(fairness, 1.0);
     }
+  }
+}
+
+/// Every bit a zero-fault contention run produces, as text rows: per scheme
+/// the CONSORT counts and hex-float sums of each StreamFigures field (plus
+/// session durations), then each group's fairness index, then the
+/// contention.* byte counters.
+std::vector<std::string> contention_digest(const std::string& label,
+                                           const exp::FleetTrialResult& run) {
+  const auto hex = [](const double value) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", value);
+    return std::string{buf};
+  };
+  std::vector<std::string> rows;
+  for (const exp::SchemeResult& scheme : run.trial.schemes) {
+    const exp::ConsortCounts& c = scheme.consort;
+    std::string row = label;
+    row += ' ';
+    row += scheme.scheme;
+    row += " consort";
+    for (const int64_t n : {c.sessions, c.streams, c.never_began,
+                            c.under_min_watch, c.decoder_failure, c.truncated,
+                            c.considered}) {
+      row += ' ';
+      row += std::to_string(n);
+    }
+    std::array<double, 9> sums{};
+    for (const stats::StreamFigures& f : scheme.considered) {
+      sums[0] += f.watch_time_s;
+      sums[1] += f.stall_time_s;
+      sums[2] += f.startup_delay_s;
+      sums[3] += f.ssim_mean_db;
+      sums[4] += f.ssim_variation_db;
+      sums[5] += f.first_chunk_ssim_db;
+      sums[6] += f.mean_bitrate_mbps;
+      sums[7] += f.mean_delivery_rate_mbps;
+    }
+    for (const double d : scheme.session_durations_s) {
+      sums[8] += d;
+    }
+    row += " sums";
+    for (const double sum : sums) {
+      row += ' ';
+      row += hex(sum);
+    }
+    rows.push_back(row);
+  }
+  std::string fairness = label;
+  fairness += " fairness";
+  for (const double f : run.group_fairness) {
+    fairness += ' ';
+    fairness += hex(f);
+  }
+  rows.push_back(fairness);
+  std::string bytes = label;
+  bytes += " bytes";
+  for (const char* name :
+       {"contention.groups", "contention.offered_bytes",
+        "contention.delivered_bytes", "contention.lost_bytes"}) {
+    const obs::MetricSnapshot::Metric* metric = run.metrics.find(name);
+    bytes += ' ';
+    bytes += std::to_string(metric != nullptr ? metric->value : -1);
+  }
+  rows.push_back(bytes);
+  return rows;
+}
+
+// Captured before the contention-group members moved onto exp::SessionTask.
+// Regenerate only for a documented behaviour change: on a mismatch the test
+// prints the actual rows, ready to paste.
+const std::vector<std::string> kContentionPinned = {
+    // clang-format off
+    "edge/2 Fugu consort 3 7 2 4 0 0 1 sums 0x1.20c49ba5e353dp+3 0x0p+0 0x1.eb1872095bef2p-2 0x1.18d4c925ef8e7p+4 0x1.c1d16700fa5bap-2 0x1.1757d258b8541p+4 0x1.c163f20698549p+1 0x1.6c8cf4f4fd83dp+6 0x1.8a3eab8206b96p+3",
+    "edge/2 MPC-HM consort 6 18 0 3 0 0 15 sums 0x1.ebac9f56844b1p+9 0x0p+0 0x1.bf03ff25c17a1p+2 0x1.fd3be98074658p+7 0x1.14df0145b6ec9p+3 0x1.7eebefddab28p+7 0x1.25c1173e7f1efp+6 0x1.9b5954100079cp+9 0x1.e7e6195636596p+9",
+    "edge/2 BBA consort 6 24 2 11 0 1 11 sums 0x1.c22bca81c63e6p+9 0x0p+0 0x1.96b109ae13b45p+2 0x1.41145a35fe4afp+7 0x1.81bdca7e43351p+3 0x1.881627157f5eap+6 0x1.a0d95ea204311p+4 0x1.cfb0453241d69p+6 0x1.c6f4fb57d2dc5p+9",
+    "edge/2 fairness 0x1.02c1395df7313p-1 0x1.113f4a874f3ap-1 0x1.d37ec67ea8d9fp-1 0x1.0c4d424f30707p-1 0x1.c22b3af9696fep-1 0x1.06beb4d922cfcp-1 0x1.94ecef2cf6e92p-1 0x1p+0",
+    "edge/2 bytes 8 1163420502 1161361258 2059244",
+    "edge/4 Fugu consort 3 7 3 2 0 0 2 sums 0x1.c16872b020c47p+3 0x0p+0 0x1.fd65a1d423407p-1 0x1.1736acd2d0152p+5 0x1.4c6628b705dd9p-1 0x1.1b617ef9ace53p+5 0x1.e39218203d0b2p+2 0x1.39b99ea2242bfp+7 0x1.1627f402f1861p+4",
+    "edge/4 MPC-HM consort 6 18 0 3 0 0 15 sums 0x1.e7efa3a8b3e81p+9 0x0p+0 0x1.b814e457a9e36p+2 0x1.fd9c6ecbdedc5p+7 0x1.0e95195f12ba1p+3 0x1.81aa4fc412dacp+7 0x1.270afa085cf6p+6 0x1.df8004eb5a60fp+9 0x1.e4f904eaa0e97p+9",
+    "edge/4 BBA consort 6 24 2 11 0 0 11 sums 0x1.7ebff0cb06e75p+9 0x0p+0 0x1.30632624fd645p+2 0x1.51ad48fd4879ap+7 0x1.5051456b7352ep+3 0x1.881627157f5eap+6 0x1.1f52afee7c94p+5 0x1.cca90113a0af7p+8 0x1.842188f96ff4ep+9",
+    "edge/4 fairness 0x1.eef13457dad61p-2 0x1.1ef517b598153p-2 0x1.a9af4b1e96a61p-2 0x1.3521e80494c21p-1",
+    "edge/4 bytes 4 1297454050 1267284665 30169385",
+    "tower/2 Fugu consort 3 7 3 3 0 0 1 sums 0x1.20c49ba5e353ap+3 0x0p+0 0x1.f7e6ac865390ap-2 0x1.18f023fe762d5p+4 0x1.c1d16700fa5bap-2 0x1.1757d258b8541p+4 0x1.b835f23c04dcbp+1 0x1.327cfcac393bp+6 0x1.8e5cd2798743bp+3",
+    "tower/2 MPC-HM consort 6 18 0 3 0 0 15 sums 0x1.ede2c67905c2dp+9 0x0p+0 0x1.c0f51f77a066ap+2 0x1.fc398f16e658ap+7 0x1.20e7dcc454f41p+3 0x1.6e213de2a810ep+7 0x1.211fb19aa0462p+6 0x1.50375e4a7b1e6p+9 0x1.ea1d052c63e5ep+9",
+    "tower/2 BBA consort 6 24 2 11 0 1 11 sums 0x1.c62e3a115e7c5p+9 0x0p+0 0x1.b37f0f0b09179p+2 0x1.39454f76eba18p+7 0x1.888b57f400a05p+3 0x1.881627157f5eap+6 0x1.758251ee621c5p+4 0x1.6b038028aabe9p+6 0x1.cb0e6c98d41a8p+9",
+    "tower/2 fairness 0x1.02c9d441f98ebp-1 0x1.0c623ed44805ap-1 0x1.d37ec67ea8d9bp-1 0x1.0c84f5bc61442p-1 0x1.b44c91832e2efp-1 0x1.0421074eb8126p-1 0x1.93928546f8eb1p-1 0x1p+0",
+    "tower/2 bytes 8 1116556157 1108356785 8199372",
+    "tower/4 Fugu consort 3 7 3 2 0 0 2 sums 0x1.c16872b020c45p+3 0x0p+0 0x1.0754a94e1d63p+0 0x1.1736acd2d0152p+5 0x1.4c6628b705dd9p-1 0x1.1b617ef9ace53p+5 0x1.e39218203d0b2p+2 0x1.fece80ca7851bp+6 0x1.192611283dc5p+4",
+    "tower/4 MPC-HM consort 6 18 1 2 0 0 15 sums 0x1.e8296235b87e4p+9 0x0p+0 0x1.d15307054a1fap+2 0x1.fc87580e8e959p+7 0x1.19447c1a47756p+3 0x1.79433be8a96b6p+7 0x1.253373debb9d9p+6 0x1.9596bc7cefe25p+9 0x1.e56e323b1b6bep+9",
+    "tower/4 BBA consort 6 24 2 11 0 0 11 sums 0x1.7f12474accffdp+9 0x0p+0 0x1.32463fb5610a2p+2 0x1.51ad48fd4879ap+7 0x1.5051456b7352ep+3 0x1.881627157f5eap+6 0x1.1f52afee7c94p+5 0x1.72b0bc0884d66p+8 0x1.8492c2da1ff22p+9",
+    "tower/4 fairness 0x1.ec1ed0d5d728dp-2 0x1.1efdd865787b2p-2 0x1.6da54628da37bp-2 0x1.358e269f37bbdp-1",
+    "tower/4 bytes 4 1261979574 1252352266 9627308",
+    "wifi/2 Fugu consort 3 7 2 4 0 0 1 sums 0x1.20c49ba5e353bp+3 0x0p+0 0x1.e092a3eee76eap-2 0x1.18d4c925ef8e7p+4 0x1.c1d16700fa5bap-2 0x1.1757d258b8541p+4 0x1.c163f20698549p+1 0x1.a0f2847722d3ep+6 0x1.884edb9f345bdp+3",
+    "wifi/2 MPC-HM consort 6 18 0 4 0 0 14 sums 0x1.e7b5f585076f8p+9 0x0p+0 0x1.9f0f8a02437b3p+2 0x1.dd66da0a22ea7p+7 0x1.dc9b578302b7ep+2 0x1.6bffe4495222p+7 0x1.0b3476e67c6e1p+6 0x1.b7d3b8e8758a5p+9 0x1.e5c1d3d19db3cp+9",
+    "wifi/2 BBA consort 6 24 2 10 0 1 12 sums 0x1.c17184b0ac992p+9 0x0p+0 0x1.ac04432fed3f2p+2 0x1.5cbd8a7c9dfc6p+7 0x1.8ad001719adbfp+3 0x1.ad1533eafaf2fp+6 0x1.c8eeeea76c0bep+4 0x1.0ae6b57a2a77cp+7 0x1.c46898307e7b9p+9",
+    "wifi/2 fairness 0x1.0512a10c03154p-1 0x1.12e58963683eep-1 0x1.d37ec67ea8da1p-1 0x1.0c4d424f30708p-1 0x1.b1e130a09e5ddp-1 0x1.08e7e3f6e9f3ep-1 0x1.94ecef2cf6e8fp-1 0x1p+0",
+    "wifi/2 bytes 8 1202025356 1187899347 14126009",
+    "wifi/4 Fugu consort 3 7 3 2 0 0 2 sums 0x1.c16872b020c45p+3 0x0p+0 0x1.f5321f97a2fd6p-1 0x1.1728ff668cc5cp+5 0x1.4c6628b705dd9p-1 0x1.1b617ef9ace53p+5 0x1.e829180586c7p+2 0x1.56655b442b44ap+7 0x1.14f32831edadap+4",
+    "wifi/4 MPC-HM consort 6 18 0 3 0 0 15 sums 0x1.e7cd7c57137f4p+9 0x0p+0 0x1.b9c91ef4cd55p+2 0x1.fe4addd4e30edp+7 0x1.02c194ef73f78p+3 0x1.8ce6baae1c67p+7 0x1.2791a6485eab7p+6 0x1.0998330a94503p+10 0x1.e4d6affd73309p+9",
+    "wifi/4 BBA consort 6 24 2 11 0 0 11 sums 0x1.7ea3386b3b36cp+9 0x0p+0 0x1.2eed2b06bd01bp+2 0x1.51ad48fd4879ap+7 0x1.5051456b7352ep+3 0x1.881627157f5eap+6 0x1.1f52afee7c94p+5 0x1.0403f5fafafadp+9 0x1.84c76ad932ee8p+9",
+    "wifi/4 fairness 0x1.eee62111edb7cp-2 0x1.1eead992326f2p-2 0x1.a9af4b1e96a64p-2 0x1.35dab3cc9a368p-1",
+    "wifi/4 bytes 4 1334851759 1268557898 66293861",
+    // clang-format on
+};
+
+/// Nothing else pins shared-bottleneck results: the golden rows run the
+/// contention families on private paths, and the shard/thread matrix only
+/// compares runs with each other. This pins every zero-fault bit of the
+/// three topologies at group sizes 2 and 4.
+TEST(FleetTrial, ContentionBitsPinned) {
+  std::vector<std::string> actual;
+  for (const char* topology : {"edge", "tower", "wifi"}) {
+    for (const int group_size : {2, 4}) {
+      const exp::FleetTrialResult run = exp::run_fleet_trial(
+          contention_config(topology, group_size), fleet_factory());
+      std::string label = topology;
+      label += '/';
+      label += std::to_string(group_size);
+      const std::vector<std::string> rows = contention_digest(label, run);
+      actual.insert(actual.end(), rows.begin(), rows.end());
+    }
+  }
+  if (actual != kContentionPinned) {
+    for (const std::string& row : actual) {
+      std::printf("    \"%s\",\n", row.c_str());
+    }
+  }
+  ASSERT_EQ(actual.size(), kContentionPinned.size());
+  for (size_t i = 0; i < actual.size(); i++) {
+    EXPECT_EQ(actual[i], kContentionPinned[i]);
   }
 }
 
