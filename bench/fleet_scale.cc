@@ -23,7 +23,9 @@
 // --faults adds Part 5: the same fleet population with the fault plane on
 // (injected TTP inference failures and session aborts), reporting
 // degraded-mode throughput and the harmonic-mean fallback rate, audited
-// bitwise 2-shard-vs-single-queue including the faults.* counters.
+// bitwise 2-shard-vs-single-queue including the faults.* counters. With
+// --contention as well, Part 5 adds the same faulted population behind
+// shared edge bottlenecks of two flows, audited the same way.
 //
 // --smoke shrinks everything to seconds and exits non-zero on any mismatch,
 // which is what CI runs (with --shards 2 to keep the sharded path covered).
@@ -372,8 +374,10 @@ int64_t metric_value(const obs::MetricSnapshot& snapshot,
 /// inference failures driving harmonic-mean fallback, plus mid-stream
 /// aborts), run single-queue (timed) and with two shards. The audit demands
 /// bitwise-identical figures AND identical faults.* counters — the fault
-/// schedule must be invariant to sharding.
-FaultsPoint run_faults_point(const int sessions, const int threads) {
+/// schedule must be invariant to sharding. `group_size` > 1 puts the
+/// population behind shared edge bottlenecks of that many flows.
+FaultsPoint run_faults_point(const int sessions, const int threads,
+                             const int group_size) {
   exp::FleetTrialConfig config;
   config.trial.schemes = {"Fugu", "MPC-HM", "BBA"};
   config.trial.sessions_per_scheme = sessions / 3;
@@ -386,6 +390,10 @@ FaultsPoint run_faults_point(const int sessions, const int threads) {
   config.trial.faults.seed = 7;
   config.trial.faults.add(sim::kFaultTtpInference, 0.05);
   config.trial.faults.add(sim::kFaultSessionAbort, 0.01);
+  if (group_size > 1) {
+    config.trial.scenario = puffer::net::ScenarioSpec{"edge-contention"};
+    config.contention = exp::make_contention_spec("edge", group_size);
+  }
 
   static const auto model =
       std::make_shared<fugu::TtpModel>(fugu::TtpConfig{}, 20190119);
@@ -418,7 +426,10 @@ FaultsPoint run_faults_point(const int sessions, const int threads) {
 
   point.shard_identical =
       base.fleet.sessions == sharded.fleet.sessions &&
-      base.fleet.decisions == sharded.fleet.decisions;
+      base.fleet.decisions == sharded.fleet.decisions &&
+      base.group_fairness.size() == sharded.group_fairness.size() &&
+      std::memcmp(base.group_fairness.data(), sharded.group_fairness.data(),
+                  base.group_fairness.size() * sizeof(double)) == 0;
   for (const std::string& name :
        {std::string{"faults.ttp_decisions"}, std::string{"faults.ttp_failures"},
         std::string{"faults.ttp_fallback_decisions"},
@@ -749,29 +760,43 @@ int main(int argc, char** argv) {
   }
 
   // Part 5 (--faults): degraded-mode throughput with the fault plane on,
-  // audited bitwise 2-shard-vs-single-queue (figures and faults.* counters).
+  // audited bitwise 2-shard-vs-single-queue (figures and faults.* counters);
+  // with --contention, once more behind shared edge bottlenecks of 2 flows.
   FaultsPoint faults_point;
+  FaultsPoint contention_faults_point;
   bool faults_identical = true;
   if (faults) {
     const int fault_sessions = smoke ? 24 : std::max(sessions, 48);
+    const auto report = [](const FaultsPoint& point) {
+      std::printf("  degraded throughput : %10.0f chunks/s (%.2f s wall)\n",
+                  point.chunks_per_s, point.wall_s);
+      std::printf("  ttp decisions       : %8lld  (%lld failures, %lld "
+                  "fallback, rate %.4f)\n",
+                  static_cast<long long>(point.ttp_decisions),
+                  static_cast<long long>(point.ttp_failures),
+                  static_cast<long long>(point.fallback_decisions),
+                  point.fallback_rate);
+      std::printf("  session aborts      : %8lld  (%lld degraded sessions)\n",
+                  static_cast<long long>(point.session_aborts),
+                  static_cast<long long>(point.degraded_sessions));
+      std::printf("  shard-identical     : %s\n",
+                  point.shard_identical ? "yes" : "NO — MISMATCH");
+    };
     std::printf("\n== fault plane (ttp-inference=0.05, session-abort=0.01, "
                 "%d sessions, 2-shard audit) ==\n",
                 fault_sessions);
-    faults_point = run_faults_point(fault_sessions, threads);
+    faults_point = run_faults_point(fault_sessions, threads, 1);
     faults_identical = faults_point.shard_identical;
-    std::printf("  degraded throughput : %10.0f chunks/s (%.2f s wall)\n",
-                faults_point.chunks_per_s, faults_point.wall_s);
-    std::printf("  ttp decisions       : %8lld  (%lld failures, %lld "
-                "fallback, rate %.4f)\n",
-                static_cast<long long>(faults_point.ttp_decisions),
-                static_cast<long long>(faults_point.ttp_failures),
-                static_cast<long long>(faults_point.fallback_decisions),
-                faults_point.fallback_rate);
-    std::printf("  session aborts      : %8lld  (%lld degraded sessions)\n",
-                static_cast<long long>(faults_point.session_aborts),
-                static_cast<long long>(faults_point.degraded_sessions));
-    std::printf("  shard-identical     : %s\n",
-                faults_point.shard_identical ? "yes" : "NO — MISMATCH");
+    report(faults_point);
+    if (contention) {
+      std::printf("\n== fault plane behind shared edge bottlenecks "
+                  "(group 2, %d sessions, 2-shard audit) ==\n",
+                  fault_sessions);
+      contention_faults_point = run_faults_point(fault_sessions, threads, 2);
+      faults_identical =
+          faults_identical && contention_faults_point.shard_identical;
+      report(contention_faults_point);
+    }
   }
 
   puffer::bench::JsonWriter json;
@@ -852,7 +877,15 @@ int main(int argc, char** argv) {
     json.field("fleet_faults_session_aborts", faults_point.session_aborts);
     json.field("fleet_faults_degraded_sessions",
                faults_point.degraded_sessions);
-    json.field("fleet_faults_shard_identical", faults_identical);
+    json.field("fleet_faults_shard_identical", faults_point.shard_identical);
+    if (contention) {
+      json.field("fleet_faults_contention_ttp_failures",
+                 contention_faults_point.ttp_failures);
+      json.field("fleet_faults_contention_session_aborts",
+                 contention_faults_point.session_aborts);
+      json.field("fleet_faults_contention_shard_identical",
+                 contention_faults_point.shard_identical);
+    }
   }
   json.write_file(json_path);
 

@@ -4,9 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "abr/mpc_abr.hh"
-#include "fugu/batch_ttp.hh"
-#include "media/channel.hh"
 #include "net/bbr.hh"
 #include "net/cubic.hh"
 #include "util/require.hh"
@@ -20,9 +17,6 @@ namespace {
 /// error; treating anything this close as "due" keeps the loop from taking
 /// denormal-sized steps. Deterministic — purely a function of the FP values.
 constexpr double kBoundaryEpsS = 1e-9;
-
-/// Same preamble the private-path sessions send (sim::send_preamble).
-constexpr double kPreambleBytes = 192.0 * 1024.0;
 
 std::unique_ptr<net::CongestionControl> make_cc(const bool use_cubic) {
   if (use_cubic) {
@@ -78,7 +72,6 @@ ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
                                          net::NetworkPath shared_sample,
                                          const TrialConfig& config)
     : spec_(spec),
-      config_(config),
       shared_trace_(scale_trace(
           shared_sample.trace,
           spec.capacity_scale * static_cast<double>(members.size()))) {
@@ -103,23 +96,18 @@ ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
       spec.queue_bdp * shared_trace_.mean_rate() * mean_rtt_s, 64.0 * 1024.0);
   link_.emplace(shared_trace_, link_config);
 
+  // Members are built in place: each session holds references into its
+  // slot (sender) and to the group clock, so states_ never reallocates.
   states_.reserve(members.size());
   double prev_offset = 0.0;
   for (Member& m : members) {
     require(m.arrival_offset_s >= prev_offset,
             "ContentionGroupTask: member offsets must ascend");
     prev_offset = m.arrival_offset_s;
-    MemberState s;
+    MemberState& s = states_.emplace_back();
     s.m = std::move(m);
     s.flow = link_->add_flow();
-    if (auto* mpc = dynamic_cast<abr::MpcAbr*>(s.m.algo.get())) {
-      if (auto* batched =
-              dynamic_cast<fugu::BatchTtpPredictor*>(&mpc->predictor())) {
-        s.batch_predictor = batched;
-        s.mpc_horizon = mpc->controller().config().horizon;
-      }
-    }
-    states_.push_back(std::move(s));
+    s.task.emplace(*s.m.plan, *s.m.algo, config, *s.m.result, world_s_);
   }
   offered_.assign(states_.size(), 0.0);
   results_.assign(states_.size(), net::LinkStepResult{});
@@ -142,19 +130,13 @@ ContentionGroupTask::Step ContentionGroupTask::prepare() {
 bool ContentionGroupTask::stage(fugu::TtpInferenceBatch& batch) {
   MemberState& s = states_[current_];
   require(s.phase == Phase::kAtDecision, "ContentionGroupTask: no decision");
-  if (s.batch_predictor == nullptr) {
-    return false;
-  }
-  s.batch_predictor->stage(s.stream->observation(), s.stream->lookahead(),
-                           s.mpc_horizon, batch);
-  return true;
+  return s.task->stage(batch);
 }
 
 void ContentionGroupTask::finish_chunk() {
   MemberState& s = states_[current_];
   require(s.phase == Phase::kAtDecision, "ContentionGroupTask: no decision");
-  const double bytes = s.stream->begin_chunk();
-  s.sender->start_transfer(bytes);
+  s.sender->start_transfer(s.task->begin_chunk());
   s.phase = Phase::kChunk;
   if (!s.sender->transfer_in_flight()) {
     // Pre-satisfied by the fluid slack — same immediate-completion path the
@@ -164,75 +146,44 @@ void ContentionGroupTask::finish_chunk() {
 }
 
 void ContentionGroupTask::arrive(MemberState& s) {
-  s.m.result->consort.sessions++;
-  if (s.m.plan->session.incompatible_or_bounce) {
-    // Page loaded but video never played (incompatible browser / bounce).
-    s.m.result->consort.streams++;
-    s.m.result->consort.never_began++;
+  if (!s.task->begin_session()) {
     s.phase = Phase::kDone;
     s.end_w = world_s_;
     return;
   }
-  s.run_rng = Rng{s.m.plan->run_seed};
-  s.m.algo->reset_session();
   s.sender.emplace(s.m.plan->path->min_rtt_s, make_cc(s.m.use_cubic));
-  s.sender->start_transfer(kPreambleBytes);
+  s.task->attach_sender(*s.sender);
+  s.sender->start_transfer(sim::kPreambleBytes);
   s.phase = Phase::kPreamble;
 }
 
-void ContentionGroupTask::advance_stream(MemberState& s) {
-  const SessionPlan& plan = *s.m.plan;
-  for (;;) {
-    if (s.stream_index >= plan.session.num_streams) {
-      if (s.any_considered) {
-        s.m.result->session_durations_s.push_back(s.session_duration_s);
-      }
+void ContentionGroupTask::park(MemberState& s,
+                               const SessionTask::StreamStep step,
+                               const double wait_s) {
+  switch (step) {
+    case SessionTask::StreamStep::kDecision:
+      s.phase = Phase::kAtDecision;
+      return;
+    case SessionTask::StreamStep::kWait:
+      s.wake_at_w = world_s_ + wait_s;
+      s.phase = Phase::kIdleWait;
+      return;
+    case SessionTask::StreamStep::kDone:
       s.phase = Phase::kDone;
       s.end_w = world_s_;
       return;
-    }
-    if (!s.stream) {
-      s.video.emplace(
-          media::default_channels()[static_cast<size_t>(
-              plan.channels[static_cast<size_t>(s.stream_index)])],
-          plan.video_seeds[static_cast<size_t>(s.stream_index)]);
-      s.stream.emplace(
-          *s.sender, *s.m.algo, *s.video, /*first_chunk=*/0,
-          plan.stream_behaviors[static_cast<size_t>(s.stream_index)],
-          s.run_rng, config_.stream, nullptr);
-    }
-    double wait_s = 0.0;
-    switch (s.stream->prepare_chunk_async(wait_s)) {
-      case sim::StreamSession::PrepareStep::kDecision:
-        s.phase = Phase::kAtDecision;
-        return;
-      case sim::StreamSession::PrepareStep::kWait:
-        s.wake_at_w = world_s_ + wait_s;
-        s.phase = Phase::kIdleWait;
-        return;
-      case sim::StreamSession::PrepareStep::kDone:
-        finish_member_stream(s);
-        break;  // next stream (or session end) on the next loop pass
-    }
   }
-}
-
-void ContentionGroupTask::finish_member_stream(MemberState& s) {
-  const sim::StreamOutcome outcome = s.stream->take_outcome();
-  detail::fold_stream_outcome(outcome, s.run_rng, config_, *s.m.result,
-                              s.session_duration_s, s.any_considered);
-  s.stream.reset();
-  s.video.reset();
-  s.stream_index++;
 }
 
 void ContentionGroupTask::on_transfer_done(MemberState& s) {
   const net::TransferResult transfer = s.sender->take_completion();
   if (s.phase == Phase::kChunk) {
-    s.stream->complete_chunk(transfer);
+    s.task->complete_chunk(transfer);
   }
-  // Preamble done, or chunk accounted: park at the next decision point.
-  advance_stream(s);
+  // Preamble done, or chunk accounted: park at the next stream step.
+  double wait_s = 0.0;
+  const SessionTask::StreamStep step = s.task->advance(wait_s);
+  park(s, step, wait_s);
 }
 
 bool ContentionGroupTask::advance_world() {
@@ -249,17 +200,9 @@ bool ContentionGroupTask::advance_world() {
       activity = true;
     } else if (s.phase == Phase::kIdleWait &&
                s.wake_at_w <= world_s_ + kBoundaryEpsS) {
-      switch (s.stream->finish_wait()) {
-        case sim::StreamSession::PrepareStep::kDecision:
-          s.phase = Phase::kAtDecision;
-          break;
-        case sim::StreamSession::PrepareStep::kDone:
-          finish_member_stream(s);
-          advance_stream(s);
-          break;
-        case sim::StreamSession::PrepareStep::kWait:
-          require(false, "ContentionGroupTask: finish_wait returned kWait");
-      }
+      double wait_s = 0.0;
+      const SessionTask::StreamStep step = s.task->finish_wait(wait_s);
+      park(s, step, wait_s);
       activity = true;
     }
   }
@@ -339,6 +282,12 @@ void ContentionGroupTask::record_load(stats::LoadSeries& load,
   for (const MemberState& s : states_) {
     load.add(arrival_s + s.m.arrival_offset_s, +1);
     load.add(arrival_s + s.end_w, -1);
+  }
+}
+
+void ContentionGroupTask::drain_fault_events(std::vector<FaultEvent>& out) {
+  for (MemberState& s : states_) {
+    s.task->drain_fault_events(out);
   }
 }
 

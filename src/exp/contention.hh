@@ -51,13 +51,16 @@ ContentionSpec make_contention_spec(const std::string& topology,
 /// bitwise contract therefore survives any shard or thread count without the
 /// engine knowing contention exists, and colocation of a group is automatic.
 ///
-/// Each member runs the exact SessionTask life cycle (CONSORT accounting,
-/// preamble, streams, telemetry) against an externally-driven TcpSender; the
-/// group loop advances every live connection by the same dt and feeds the
-/// shared link's per-flow step results back. Members park at ABR decisions;
-/// prepare() surfaces the lowest-indexed parked member to the engine, so
-/// batched TTP staging and finish_chunk() route to one member at a time and
-/// the engine's prepare/stage/finish protocol is unchanged.
+/// Each member is one exp::SessionTask in borrowed-sender mode — the same
+/// life cycle as a private-path session (CONSORT accounting, streams,
+/// telemetry, every per-session fault family) — over an externally driven
+/// TcpSender the group owns. The group keeps only the world: arrivals, the
+/// lockstep loop that advances every live connection by the same dt through
+/// the shared link, and the link's byte and fairness accounting. Members
+/// park at ABR decisions; prepare() surfaces the lowest-indexed parked
+/// member to the engine, so batched TTP staging and finish_chunk() route to
+/// one member at a time and the engine's prepare/stage/finish protocol is
+/// unchanged. Member fault events are stamped on the group's clock.
 class ContentionGroupTask final : public sim::FleetTask {
  public:
   /// What the trial layer supplies per member session. `arrival_offset_s` is
@@ -88,8 +91,12 @@ class ContentionGroupTask final : public sim::FleetTask {
   }
   void record_load(stats::LoadSeries& load, double arrival_s,
                    double end_s) const override;
+  void drain_fault_events(std::vector<FaultEvent>& out) override;
 
-  [[nodiscard]] size_t member_count() const { return states_.size(); }
+  /// Member `i`'s session (for per-session metric harvesting).
+  [[nodiscard]] const SessionTask& member_session(size_t i) const {
+    return *states_[i].task;
+  }
   /// Reclaim member `i`'s algorithm instance (for per-scheme pooling);
   /// leaves the member unusable. Call only after the task completed.
   std::unique_ptr<abr::AbrAlgorithm> take_algorithm(size_t i);
@@ -122,22 +129,15 @@ class ContentionGroupTask final : public sim::FleetTask {
     Member m;
     Phase phase = Phase::kUnarrived;
     int flow = -1;
-    Rng run_rng{0};
     std::optional<net::TcpSender> sender;
-    std::optional<media::VbrVideoSource> video;
-    std::optional<sim::StreamSession> stream;
-    int stream_index = 0;
-    double session_duration_s = 0.0;
-    bool any_considered = false;
+    std::optional<SessionTask> task;
     double wake_at_w = 0.0;  ///< kIdleWait: world time to resume
     double end_w = 0.0;      ///< world time the member finished
-    fugu::BatchTtpPredictor* batch_predictor = nullptr;
-    int mpc_horizon = 0;
   };
 
   void arrive(MemberState& s);
-  void advance_stream(MemberState& s);
-  void finish_member_stream(MemberState& s);
+  /// Park the member per its session's next stream step.
+  void park(MemberState& s, SessionTask::StreamStep step, double wait_s);
   void on_transfer_done(MemberState& s);
   /// One lockstep world round: process due arrivals/wakes, else pick dt,
   /// step every live connection through the shared link, collect transfer
@@ -145,7 +145,6 @@ class ContentionGroupTask final : public sim::FleetTask {
   bool advance_world();
 
   ContentionSpec spec_;
-  const TrialConfig& config_;
   net::ThroughputTrace shared_trace_;
   std::optional<net::SharedLinkSimulator> link_;
   std::vector<MemberState> states_;

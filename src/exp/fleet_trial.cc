@@ -9,7 +9,6 @@
 
 #include "exp/session_task.hh"
 #include "net/scenario.hh"
-#include "util/object_pool.hh"
 #include "util/require.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
@@ -17,22 +16,6 @@
 namespace puffer::exp {
 
 namespace {
-
-/// Session tasks churn at fleet scale (one per arrival, up to 10^6 per
-/// run), so allocation is routed through a BlockArena that turns that churn
-/// into free-list recycling: heap traffic is bounded by peak concurrency.
-/// The arena is per *shard* (not per worker thread): a worker drains one
-/// shard at a time and every task is allocated and freed while its shard is
-/// being driven, so shard ownership still makes the arena single-threaded —
-/// and unlike a per-worker arena, its created/recycled counts no longer
-/// depend on which shards the pool happened to co-locate on a worker, which
-/// is what lets the arena metrics join the sim-plane determinism contract.
-/// The factory installs the owning shard's arena here before constructing
-/// each task.
-BlockArena*& current_task_arena() {
-  thread_local BlockArena* arena = nullptr;
-  return arena;
-}
 
 /// Trial-layer sim-plane metrics, one set per shard (identical schema →
 /// positional merge in ascending shard order, like the engine's).
@@ -43,8 +26,6 @@ struct TrialMetrics {
   obs::MetricRegistry::Id algo_pool_misses;
   obs::MetricRegistry::Id plan_cache_hits;
   obs::MetricRegistry::Id plan_cache_misses;
-  obs::MetricRegistry::Id arena_blocks_created;
-  obs::MetricRegistry::Id arena_recycled_tasks;
   obs::MetricRegistry::Id contention_groups;
   obs::MetricRegistry::Id contention_offered_bytes;
   obs::MetricRegistry::Id contention_delivered_bytes;
@@ -62,7 +43,7 @@ struct TrialMetrics {
   TrialMetrics() {
     const obs::MetricOptions local{.shard_local = true};
     tasks_created = registry.counter("trial.tasks_created");
-    // Pool/arena reuse depends on how the shard partition groups sessions,
+    // Pool reuse depends on how the shard partition groups sessions,
     // exactly like the engine's batching counters.
     algo_pool_hits = registry.counter("trial.algo_pool_hits", local);
     algo_pool_misses = registry.counter("trial.algo_pool_misses", local);
@@ -70,10 +51,6 @@ struct TrialMetrics {
     // per-plan property: 1 miss + (schemes-1) hits at any shard count.
     plan_cache_hits = registry.counter("trial.plan_cache_hits");
     plan_cache_misses = registry.counter("trial.plan_cache_misses");
-    arena_blocks_created = registry.counter("trial.arena_blocks_created",
-                                            local);
-    arena_recycled_tasks = registry.counter("trial.arena_recycled_tasks",
-                                            local);
     // Per-group byte totals and fairness are properties of the groups
     // themselves — sums and multisets are partition-invariant.
     contention_groups = registry.counter("contention.groups");
@@ -97,6 +74,28 @@ struct TrialMetrics {
     faults_max_session_fallbacks =
         registry.gauge("faults.max_session_fallbacks");
   }
+
+  /// Fold one finished session's fault/degradation accounting into the
+  /// faults.* metrics. Call before the session's algorithm instance returns
+  /// to its pool. A session that never began (a bounce) never reset its
+  /// algorithm, whose wrapper still holds the previous session's counts.
+  void harvest_faults(const SessionTask& task) {
+    if (!task.began()) {
+      return;
+    }
+    if (const fugu::ResilientPredictor* res = task.resilient()) {
+      const fugu::SessionFaultStats& s = res->session_stats();
+      registry.add(faults_ttp_decisions, s.decisions);
+      registry.add(faults_ttp_failures, s.failures);
+      registry.add(faults_ttp_fallback_decisions, s.fallback_decisions);
+      registry.add(faults_ttp_engagements, s.engagements);
+      if (s.degraded) {
+        registry.add(faults_degraded_sessions);
+      }
+      registry.set_max(faults_max_session_fallbacks, s.fallback_decisions);
+    }
+    registry.add(faults_session_aborts, task.aborted_streams());
+  }
 };
 
 /// A SessionTask plus algorithm-instance pooling: sessions overlap in fleet
@@ -107,23 +106,11 @@ struct TrialMetrics {
 /// sequential loop's reuse, so pooling cannot change results.)
 class PooledSessionTask final : public sim::FleetTask {
  public:
-  // Route the per-arrival task churn through the owning shard's arena (the
-  // factory installs it; tasks are freed while their shard is still being
-  // driven, so the same arena is installed at delete time).
-  static void* operator new(const std::size_t size) {
-    require(current_task_arena() != nullptr,
-            "PooledSessionTask: no shard arena installed");
-    return current_task_arena()->allocate(size);
-  }
-  static void operator delete(void* const ptr, const std::size_t size) {
-    current_task_arena()->deallocate(ptr, size);
-  }
-
   PooledSessionTask(std::shared_ptr<const SessionPlan> plan,
                     std::unique_ptr<abr::AbrAlgorithm> algo,
                     const TrialConfig& config, SchemeResult& result,
                     std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool,
-                    TrialMetrics* const metrics)
+                    TrialMetrics& metrics)
       : plan_(std::move(plan)),
         algo_(std::move(algo)),
         pool_(pool),
@@ -131,26 +118,9 @@ class PooledSessionTask final : public sim::FleetTask {
         task_(*plan_, *algo_, config, result) {}
 
   ~PooledSessionTask() override {
-    // Harvest the session's fault/degradation accounting before the
-    // algorithm instance (and its wrapper state) returns to the pool. The
-    // destructor runs on the owning shard's worker, so the shard registry
-    // is exclusively ours here.
-    if (metrics_ != nullptr) {
-      obs::MetricRegistry& reg = metrics_->registry;
-      if (const fugu::ResilientPredictor* res = task_.resilient()) {
-        const fugu::SessionFaultStats& s = res->session_stats();
-        reg.add(metrics_->faults_ttp_decisions, s.decisions);
-        reg.add(metrics_->faults_ttp_failures, s.failures);
-        reg.add(metrics_->faults_ttp_fallback_decisions, s.fallback_decisions);
-        reg.add(metrics_->faults_ttp_engagements, s.engagements);
-        if (s.degraded) {
-          reg.add(metrics_->faults_degraded_sessions);
-        }
-        reg.set_max(metrics_->faults_max_session_fallbacks,
-                    s.fallback_decisions);
-      }
-      reg.add(metrics_->faults_session_aborts, task_.aborted_streams());
-    }
+    // The destructor runs on the owning shard's worker, so the shard
+    // registry is exclusively ours here.
+    metrics_.harvest_faults(task_);
     pool_.push_back(std::move(algo_));
   }
 
@@ -172,7 +142,7 @@ class PooledSessionTask final : public sim::FleetTask {
   std::shared_ptr<const SessionPlan> plan_;
   std::unique_ptr<abr::AbrAlgorithm> algo_;
   std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool_;
-  TrialMetrics* metrics_;
+  TrialMetrics& metrics_;
   SessionTask task_;
 };
 
@@ -189,7 +159,7 @@ class PooledContentionTask final : public sim::FleetTask {
       const TrialConfig& config,
       std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>>& pools,
       std::vector<size_t> member_schemes, double* const fairness_slot,
-      TrialMetrics* const metrics)
+      TrialMetrics& metrics)
       : pools_(pools),
         member_schemes_(std::move(member_schemes)),
         fairness_slot_(fairness_slot),
@@ -201,15 +171,18 @@ class PooledContentionTask final : public sim::FleetTask {
     *fairness_slot_ = fairness;
     // The destructor runs on the owning shard's worker, so the shard's
     // metric registry is exclusively ours here.
-    obs::MetricRegistry& reg = metrics_->registry;
-    reg.add(metrics_->contention_groups);
-    reg.add(metrics_->contention_offered_bytes,
+    obs::MetricRegistry& reg = metrics_.registry;
+    reg.add(metrics_.contention_groups);
+    reg.add(metrics_.contention_offered_bytes,
             std::llround(task_.shared_offered_bytes()));
-    reg.add(metrics_->contention_delivered_bytes,
+    reg.add(metrics_.contention_delivered_bytes,
             std::llround(task_.shared_delivered_bytes()));
-    reg.add(metrics_->contention_lost_bytes,
+    reg.add(metrics_.contention_lost_bytes,
             std::llround(task_.shared_lost_bytes()));
-    reg.observe(metrics_->contention_fairness, fairness);
+    reg.observe(metrics_.contention_fairness, fairness);
+    for (size_t i = 0; i < member_schemes_.size(); i++) {
+      metrics_.harvest_faults(task_.member_session(i));
+    }
     for (size_t i = 0; i < member_schemes_.size(); i++) {
       auto algo = task_.take_algorithm(i);
       if (algo != nullptr) {
@@ -231,12 +204,15 @@ class PooledContentionTask final : public sim::FleetTask {
                    const double end_s) const override {
     task_.record_load(load, arrival_s, end_s);
   }
+  void drain_fault_events(std::vector<FaultEvent>& out) override {
+    task_.drain_fault_events(out);
+  }
 
  private:
   std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>>& pools_;
   std::vector<size_t> member_schemes_;
   double* fairness_slot_;
-  TrialMetrics* metrics_;
+  TrialMetrics& metrics_;
   ContentionGroupTask task_;
 };
 
@@ -248,7 +224,6 @@ struct ShardState {
   std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>> pools;
   int64_t cached_plan_index = -1;
   std::shared_ptr<const SessionPlan> cached_plan;
-  BlockArena arena;  ///< PooledSessionTask storage; see current_task_arena()
   TrialMetrics metrics;
 
   /// An instance of `config.schemes[scheme]`: recycled from this shard's
@@ -370,9 +345,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   // Colocate a paired plan's per-scheme task copies on one shard: they
   // share an immutable plan, and the cache hit needs them back-to-back.
   engine_config.shard_group = trial_config.paired_paths ? num_schemes : 1;
-  engine_config.coalesce_inference = config.coalesce_inference;
-  engine_config.max_coalesced_sessions = config.max_coalesced_sessions;
-  engine_config.coalesce_window_s = config.coalesce_window_s;
   engine_config.trace = config.trace;
   const sim::FleetEngine engine{engine_config};
   const int num_shards = engine.resolved_num_shards();
@@ -435,19 +407,9 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     auto& partial = partials[static_cast<size_t>(task_index)];
     partial = std::make_unique<SchemeResult>();
     shard.metrics.registry.add(shard.metrics.tasks_created);
-    current_task_arena() = &shard.arena;
-    const int64_t blocks_before = shard.arena.blocks_created();
-    auto task = std::make_unique<PooledSessionTask>(
+    return std::make_unique<PooledSessionTask>(
         std::move(plan), std::move(algo), trial_config, *partial,
-        shard.pools[scheme], &shard.metrics);
-    const int64_t blocks_after = shard.arena.blocks_created();
-    if (blocks_after > blocks_before) {
-      shard.metrics.registry.add(shard.metrics.arena_blocks_created,
-                                 blocks_after - blocks_before);
-    } else {
-      shard.metrics.registry.add(shard.metrics.arena_recycled_tasks);
-    }
-    return task;
+        shard.pools[scheme], shard.metrics);
   };
 
   // Contention factory: builds group `group_index` from its member plans.
@@ -530,7 +492,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
         std::move(members), contention, std::move(shared_sample), trial_config,
         shard.pools, std::move(member_schemes),
         &result.group_fairness[static_cast<size_t>(group_index)],
-        &shard.metrics);
+        shard.metrics);
   };
 
   MergeFrontier frontier;

@@ -19,7 +19,7 @@ namespace puffer::exp {
 /// own path, TCP connection, viewer and per-session RNG), so the fleet's
 /// interleaving cannot change any session's results — the merged
 /// TrialResult is bit-identical to detail::run_trial_serial at any
-/// thread count AND any shard count, with or without coalesced inference.
+/// thread count AND any shard count.
 /// Partial results are appended to the merged TrialResult in ascending
 /// session-index order as a streaming frontier (a completed session's
 /// partial is folded in and freed as soon as every earlier session has
@@ -34,9 +34,6 @@ struct FleetTrialConfig {
   /// and the merged trial are bit-identical at any value; only the
   /// batching counters (per-shard coalescing windows) vary with it.
   int num_shards = 0;
-  bool coalesce_inference = true;
-  int max_coalesced_sessions = 64;
-  double coalesce_window_s = 0.25;
   /// Shared-bottleneck grouping. group_size == 1 (default) keeps the
   /// historical private-path fleet. group_size > 1 co-simulates each run of
   /// `group_size` consecutive sessions behind one shared link as a single
@@ -55,7 +52,7 @@ struct FleetTrialResult {
   /// contention group, indexed by group. Empty otherwise.
   std::vector<double> group_fairness;
   /// Combined sim-plane snapshot: the engine's merged metrics, then the
-  /// trial layer's (task pooling, arenas, contention bytes/fairness), then
+  /// trial layer's (task pooling, contention bytes/fairness, faults), then
   /// run-level gauges (merge-frontier high-water — the one
   /// scheduling-dependent entry, excluded from determinism comparisons).
   obs::MetricSnapshot metrics;

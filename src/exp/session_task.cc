@@ -45,57 +45,90 @@ SessionTask::SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
   }
 }
 
+SessionTask::SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
+                         const TrialConfig& config, SchemeResult& result,
+                         const double& clock_s)
+    : SessionTask(plan, algo, config, result) {
+  clock_s_ = &clock_s;
+}
+
+bool SessionTask::begin_session() {
+  require(!began_ && !finished_, "SessionTask: session already started");
+  result_.consort.sessions++;
+  if (plan_.session.incompatible_or_bounce) {
+    // Page loaded but video never played (incompatible browser / bounce).
+    result_.consort.streams++;
+    result_.consort.never_began++;
+    finished_ = true;
+    return false;
+  }
+  began_ = true;
+  run_rng_ = Rng{plan_.run_seed};
+  algo_.reset_session();
+  if (resilient_ != nullptr) {
+    resilient_->begin_session(plan_.run_seed);
+    seen_ttp_failures_ = 0;
+  }
+  abort_probability_ = config_.faults.probability(sim::kFaultSessionAbort);
+  if (abort_probability_ > 0.0) {
+    abort_rng_ =
+        config_.faults.rng(sim::kFaultSessionAbort).split(plan_.run_seed);
+  }
+  return true;
+}
+
+void SessionTask::attach_sender(net::TcpSender& sender) {
+  require(began_ && sender_ == nullptr,
+          "SessionTask: attach_sender needs a begun, unconnected session");
+  sender_ = &sender;
+}
+
 SessionTask::Step SessionTask::prepare() {
   if (finished_) {
     return Step::kDone;
   }
-  if (!started_) {
-    started_ = true;
-    result_.consort.sessions++;
-    if (plan_.session.incompatible_or_bounce) {
-      // Page loaded but video never played (incompatible browser / bounce).
-      result_.consort.streams++;
-      result_.consort.never_began++;
-      finished_ = true;
+  if (!began_) {
+    require(clock_s_ == nullptr,
+            "SessionTask: a borrowed-sender task is driven by its owner");
+    if (!begin_session()) {
       return Step::kDone;
     }
-    run_rng_ = Rng{plan_.run_seed};
-    algo_.reset_session();
-    if (resilient_ != nullptr) {
-      resilient_->begin_session(plan_.run_seed);
-      seen_ttp_failures_ = 0;
-    }
-    abort_probability_ = config_.faults.probability(sim::kFaultSessionAbort);
-    if (abort_probability_ > 0.0) {
-      abort_rng_ = config_.faults.rng(sim::kFaultSessionAbort)
-                       .split(plan_.run_seed);
-    }
-    sender_.emplace(*plan_.path, std::make_unique<net::BbrModel>(),
-                    net::TcpSender::default_queue_capacity(*plan_.path));
+    sender_ = &own_sender_.emplace(
+        *plan_.path, std::make_unique<net::BbrModel>(),
+        net::TcpSender::default_queue_capacity(*plan_.path));
     sim::send_preamble(*sender_);
   }
   for (;;) {
-    if (stream_index_ >= plan_.session.num_streams) {
-      if (any_considered_) {
-        result_.session_durations_s.push_back(session_duration_s_);
-      }
-      finished_ = true;
+    if (!open_stream()) {
       return Step::kDone;
-    }
-    if (!stream_) {
-      video_.emplace(
-          media::default_channels()[static_cast<size_t>(
-              plan_.channels[static_cast<size_t>(stream_index_)])],
-          plan_.video_seeds[static_cast<size_t>(stream_index_)]);
-      stream_.emplace(*sender_, algo_, *video_, /*first_chunk=*/0,
-                      plan_.stream_behaviors[static_cast<size_t>(stream_index_)],
-                      run_rng_, config_.stream, nullptr);
     }
     if (stream_->prepare_chunk()) {
       return Step::kDecision;
     }
     finish_stream();
   }
+}
+
+SessionTask::StreamStep SessionTask::advance(double& wait_s) {
+  for (;;) {
+    if (!open_stream()) {
+      return StreamStep::kDone;
+    }
+    const StreamStep step = stream_->prepare_chunk_async(wait_s);
+    if (step != StreamStep::kDone) {
+      return step;
+    }
+    finish_stream();
+  }
+}
+
+SessionTask::StreamStep SessionTask::finish_wait(double& wait_s) {
+  require(stream_.has_value(), "SessionTask: no wait pending");
+  if (stream_->finish_wait() == StreamStep::kDecision) {
+    return StreamStep::kDecision;
+  }
+  finish_stream();
+  return advance(wait_s);
 }
 
 bool SessionTask::stage(fugu::TtpInferenceBatch& batch) {
@@ -111,6 +144,20 @@ bool SessionTask::stage(fugu::TtpInferenceBatch& batch) {
 void SessionTask::finish_chunk() {
   require(stream_.has_value(), "SessionTask: no decision pending");
   stream_->finish_chunk();
+  after_chunk();
+}
+
+double SessionTask::begin_chunk() {
+  require(stream_.has_value(), "SessionTask: no decision pending");
+  return stream_->begin_chunk();
+}
+
+void SessionTask::complete_chunk(const net::TransferResult& transfer) {
+  stream_->complete_chunk(transfer);
+  after_chunk();
+}
+
+void SessionTask::after_chunk() {
   if (resilient_ != nullptr) {
     const int64_t failures = resilient_->session_stats().failures;
     for (; seen_ttp_failures_ < failures; seen_ttp_failures_++) {
@@ -128,13 +175,36 @@ void SessionTask::finish_chunk() {
 }
 
 double SessionTask::elapsed_s() const {
-  return sender_.has_value() ? sender_->now() : 0.0;
+  if (clock_s_ != nullptr) {
+    return *clock_s_;
+  }
+  return sender_ != nullptr ? sender_->now() : 0.0;
 }
 
 void SessionTask::drain_fault_events(std::vector<FaultEvent>& out) {
   out.insert(out.end(), pending_fault_events_.begin(),
              pending_fault_events_.end());
   pending_fault_events_.clear();
+}
+
+bool SessionTask::open_stream() {
+  if (stream_index_ >= plan_.session.num_streams) {
+    if (any_considered_) {
+      result_.session_durations_s.push_back(session_duration_s_);
+    }
+    finished_ = true;
+    return false;
+  }
+  if (!stream_) {
+    video_.emplace(
+        media::default_channels()[static_cast<size_t>(
+            plan_.channels[static_cast<size_t>(stream_index_)])],
+        plan_.video_seeds[static_cast<size_t>(stream_index_)]);
+    stream_.emplace(*sender_, algo_, *video_, /*first_chunk=*/0,
+                    plan_.stream_behaviors[static_cast<size_t>(stream_index_)],
+                    run_rng_, config_.stream, nullptr);
+  }
+  return true;
 }
 
 void SessionTask::finish_stream() {

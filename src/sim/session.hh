@@ -195,11 +195,15 @@ StreamOutcome run_stream(net::TcpSender& sender, abr::AbrAlgorithm& abr,
                          const StreamRunConfig& config = {},
                          StreamObserver* observer = nullptr);
 
+/// Bytes of the page, player JavaScript and manifest a session sends before
+/// its first chunk.
+inline constexpr double kPreambleBytes = 192.0 * 1024.0;
+
 /// Warm the fresh connection the way the real player does: the page, player
 /// JavaScript and manifest travel over the same connection before the first
 /// chunk, so tcp_info is already informative at the first ABR decision —
 /// the effect behind Fugu's better cold start (Figure 9).
-void send_preamble(net::TcpSender& sender, double bytes = 192.0 * 1024.0);
+void send_preamble(net::TcpSender& sender, double bytes = kPreambleBytes);
 
 }  // namespace puffer::sim
 

@@ -416,6 +416,63 @@ TEST(FaultMatrix, LinkOutageShardInvariantUnderContention) {
             metric_value(two.metrics, "faults.link_outages"));
 }
 
+/// Members of a contention group run the same session life cycle as
+/// private-path sessions, so every per-session fault family reaches them:
+/// TTP inference failures, session aborts and their fault events, harvested
+/// into faults.* and invariant to the shard and thread count.
+TEST(FaultMatrix, FaultsReachContentionMembers) {
+  exp::FleetTrialConfig config = small_fleet_config();
+  config.trial.scenario = net::ScenarioSpec{"edge-contention"};
+  config.contention = exp::make_contention_spec("edge", 2);
+  config.trial.faults.enabled = true;
+  config.trial.faults.seed = 11;
+  config.trial.faults.add(sim::kFaultTtpInference, 1.0);
+  config.trial.faults.add(sim::kFaultSessionAbort, 0.5);
+  const exp::SchemeArtifacts artifacts = fault_artifacts(&config.trial.faults);
+
+  config.num_shards = 1;
+  config.trial.num_threads = 1;
+  const exp::FleetTrialResult one = exp::run_fleet_trial(config, artifacts);
+  EXPECT_GT(metric_value(one.metrics, "faults.ttp_failures"), 0);
+  EXPECT_GT(metric_value(one.metrics, "faults.session_aborts"), 0);
+  EXPECT_GT(metric_value(one.metrics, "faults.injected"), 0);
+
+  config.num_shards = 2;
+  config.trial.num_threads = 4;
+  const exp::FleetTrialResult two = exp::run_fleet_trial(config, artifacts);
+  test::expect_identical_trials(one.trial, two.trial);
+  for (const std::string& name : fault_metric_names()) {
+    EXPECT_EQ(metric_value(one.metrics, name), metric_value(two.metrics, name))
+        << name;
+  }
+}
+
+/// In a Fugu-only trial every fleet decision is one TTP decision, so the
+/// harvested faults.ttp_decisions must equal the engine's decision count
+/// on private paths and in contention groups. A bounced session never
+/// resets its pooled algorithm instance, so harvesting it would count the
+/// previous session's decisions twice.
+TEST(FaultMatrix, BouncedSessionsHarvestNothing) {
+  for (const int group_size : {1, 2}) {
+    exp::FleetTrialConfig config = small_fleet_config();
+    config.trial.schemes = {"Fugu"};
+    config.trial.sessions_per_scheme = 40;
+    if (group_size > 1) {
+      config.trial.scenario = net::ScenarioSpec{"edge-contention"};
+      config.contention = exp::make_contention_spec("edge", group_size);
+    }
+    config.trial.faults.enabled = true;
+    config.trial.faults.seed = 3;
+    config.trial.faults.add(sim::kFaultTtpInference, 0.1);
+    const exp::FleetTrialResult run =
+        exp::run_fleet_trial(config, fault_artifacts(&config.trial.faults));
+    ASSERT_GT(run.trial.schemes[0].consort.never_began, 0);
+    EXPECT_EQ(metric_value(run.metrics, "faults.ttp_decisions"),
+              run.fleet.decisions)
+        << "group size " << group_size;
+  }
+}
+
 /// Injected faults appear as instant events on the virtual-time trace
 /// lanes, byte-identical across thread counts.
 TEST(FaultTrace, InstantsByteIdenticalAcrossThreadCounts) {

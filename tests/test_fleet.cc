@@ -454,43 +454,41 @@ void expect_same_load(const stats::LoadSeries& a, const stats::LoadSeries& b) {
 
 /// Acceptance criterion (b): shards are the only parallelism, and neither
 /// the shard count (1/2/4/8) nor the worker-thread count (1/2/4) changes a
-/// bit. Every cell, coalescing on and off, equals the serial reference, and
-/// its load series and partition-invariant engine stats equal the one-shard
-/// run's. The batching counters depend on shard-local batch membership, so
+/// bit. Every cell equals the serial reference (which never coalesces
+/// inference), and its load series and partition-invariant engine stats
+/// equal the one-shard run's. The batching counters depend on shard-local batch membership, so
 /// they are compared across thread counts at a fixed shard count only.
 TEST(FleetTrial, BitIdenticalAcrossShardAndThreadMatrix) {
   const exp::TrialResult serial =
       exp::detail::run_trial_serial(fleet_config().trial, fleet_factory());
-  for (const bool coalesce : {true, false}) {
-    exp::FleetTrialConfig config = fleet_config();
-    config.coalesce_inference = coalesce;
-    exp::FleetTrialResult one_shard;
-    for (const int shards : {1, 2, 4, 8}) {
-      config.num_shards = shards;
-      config.trial.num_threads = 1;
-      const exp::FleetTrialResult base =
+  exp::FleetTrialConfig config = fleet_config();
+  exp::FleetTrialResult one_shard;
+  for (const int shards : {1, 2, 4, 8}) {
+    config.num_shards = shards;
+    config.trial.num_threads = 1;
+    const exp::FleetTrialResult base =
+        exp::run_fleet_trial(config, fleet_factory());
+    EXPECT_EQ(base.fleet.num_shards, shards);
+    EXPECT_GT(base.fleet.coalesced_rows, 0);
+    test::expect_identical_trials(serial, base.trial);
+    if (shards == 1) {
+      one_shard = base;
+    }
+    EXPECT_EQ(one_shard.fleet.sessions, base.fleet.sessions);
+    EXPECT_EQ(one_shard.fleet.decisions, base.fleet.decisions);
+    test::expect_same_bits(one_shard.fleet.virtual_duration_s,
+                           base.fleet.virtual_duration_s);
+    expect_same_load(one_shard.fleet.load, base.fleet.load);
+    for (const int threads : {2, 4}) {
+      config.trial.num_threads = threads;
+      const exp::FleetTrialResult run =
           exp::run_fleet_trial(config, fleet_factory());
-      EXPECT_EQ(base.fleet.num_shards, shards);
-      test::expect_identical_trials(serial, base.trial);
-      if (shards == 1) {
-        one_shard = base;
-      }
-      EXPECT_EQ(one_shard.fleet.sessions, base.fleet.sessions);
-      EXPECT_EQ(one_shard.fleet.decisions, base.fleet.decisions);
-      test::expect_same_bits(one_shard.fleet.virtual_duration_s,
-                             base.fleet.virtual_duration_s);
-      expect_same_load(one_shard.fleet.load, base.fleet.load);
-      for (const int threads : {2, 4}) {
-        config.trial.num_threads = threads;
-        const exp::FleetTrialResult run =
-            exp::run_fleet_trial(config, fleet_factory());
-        test::expect_identical_trials(serial, run.trial);
-        EXPECT_EQ(base.fleet.decisions, run.fleet.decisions);
-        EXPECT_EQ(base.fleet.coalesced_rows, run.fleet.coalesced_rows);
-        EXPECT_EQ(base.fleet.gemm_calls, run.fleet.gemm_calls);
-        EXPECT_EQ(base.fleet.inline_decisions, run.fleet.inline_decisions);
-        expect_same_load(base.fleet.load, run.fleet.load);
-      }
+      test::expect_identical_trials(serial, run.trial);
+      EXPECT_EQ(base.fleet.decisions, run.fleet.decisions);
+      EXPECT_EQ(base.fleet.coalesced_rows, run.fleet.coalesced_rows);
+      EXPECT_EQ(base.fleet.gemm_calls, run.fleet.gemm_calls);
+      EXPECT_EQ(base.fleet.inline_decisions, run.fleet.inline_decisions);
+      expect_same_load(base.fleet.load, run.fleet.load);
     }
   }
 }
@@ -666,28 +664,6 @@ TEST(FleetEngine, ShardFailureSelectsLowestShardDeterministically) {
       EXPECT_STREQ(error.what(), "shard-0 failed");
     }
   }
-}
-
-/// Coalescing is a pure execution strategy: switching it off (or shrinking
-/// the fusion window/cap) must not change a single bit of the results.
-TEST(FleetTrial, CoalescingToggleAndWindowDoNotChangeResults) {
-  exp::FleetTrialConfig config = fleet_config();
-  const exp::FleetTrialResult fused =
-      exp::run_fleet_trial(config, fleet_factory());
-
-  config.coalesce_inference = false;
-  const exp::FleetTrialResult inline_only =
-      exp::run_fleet_trial(config, fleet_factory());
-  test::expect_identical_trials(fused.trial, inline_only.trial);
-  EXPECT_EQ(inline_only.fleet.coalesced_rows, 0);
-  EXPECT_EQ(inline_only.fleet.gemm_calls, 0);
-
-  config.coalesce_inference = true;
-  config.max_coalesced_sessions = 2;
-  config.coalesce_window_s = 0.01;
-  const exp::FleetTrialResult narrow =
-      exp::run_fleet_trial(config, fleet_factory());
-  test::expect_identical_trials(fused.trial, narrow.trial);
 }
 
 TEST(FleetTrial, FlashCrowdDrivesConcurrencySpike) {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "util/object_pool.hh"
+#include "util/json.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 #include "util/running_stats.hh"
@@ -359,12 +359,12 @@ TEST(ThreadPool, DestructionAfterUnobservedExceptionIsSafe) {
 }
 
 TEST(JsonWriter, EscapesSpecialCharactersInStrings) {
-  EXPECT_EQ(bench::json_escape("plain"), "plain");
-  EXPECT_EQ(bench::json_escape("C:\\traces\\fcc18"), "C:\\\\traces\\\\fcc18");
-  EXPECT_EQ(bench::json_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(bench::json_escape("a\tb\nc\rd\be\ff"),
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("C:\\traces\\fcc18"), "C:\\\\traces\\\\fcc18");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\tb\nc\rd\be\ff"),
             "a\\tb\\nc\\rd\\be\\ff");
-  EXPECT_EQ(bench::json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
+  EXPECT_EQ(json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
 }
 
 TEST(JsonWriter, EmitsEscapedKeysAndValues) {
@@ -410,29 +410,6 @@ TEST(JsonWriter, EmitsArrayFields) {
             "  \"doubles\": [0.5, null],\n"
             "  \"empty\": []\n"
             "}\n");
-}
-
-TEST(BlockArena, RecyclesBlocksOfOneSize) {
-  BlockArena arena;
-  void* first = arena.allocate(64);
-  EXPECT_EQ(arena.blocks_created(), 1);
-  arena.deallocate(first, 64);
-  EXPECT_EQ(arena.blocks_free(), 1);
-  void* second = arena.allocate(64);
-  EXPECT_EQ(second, first);  // free-listed block handed back verbatim
-  EXPECT_EQ(arena.blocks_created(), 1);
-  void* third = arena.allocate(64);
-  EXPECT_NE(third, nullptr);
-  EXPECT_EQ(arena.blocks_created(), 2);
-  arena.deallocate(second, 64);
-  arena.deallocate(third, 64);
-}
-
-TEST(BlockArena, RejectsMismatchedSize) {
-  BlockArena arena;
-  void* block = arena.allocate(32);
-  EXPECT_THROW(static_cast<void>(arena.allocate(64)), RequirementError);
-  arena.deallocate(block, 32);
 }
 
 }  // namespace
