@@ -182,8 +182,6 @@ class PooledContentionTask final : public sim::FleetTask {
     reg.observe(metrics_.contention_fairness, fairness);
     for (size_t i = 0; i < member_schemes_.size(); i++) {
       metrics_.harvest_faults(task_.member_session(i));
-    }
-    for (size_t i = 0; i < member_schemes_.size(); i++) {
       auto algo = task_.take_algorithm(i);
       if (algo != nullptr) {
         pools_[member_schemes_[i]].push_back(std::move(algo));
