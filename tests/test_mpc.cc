@@ -481,13 +481,21 @@ struct PlanPin {
   double prev_ssim_db;
   std::array<double, media::kNumRungs> root_values;
   double plan_value;
+  // Planner shape; the defaults are the paper's configuration.
+  int lookahead = 5;
+  int horizon = 5;
+  double buffer_bin_s = 0.25;
+  double chunk_duration_s = 2.002;
 };
 
 /// Bitwise pins of plan() on seeded lattices. plan_reference() agrees with
 /// plan() only up to reassociation, and the golden trials pin BBA/MPC-HM
 /// only, so these literals are what catches a bit drift of the sweep on
-/// TTP-shaped distributions. Regenerate them only for a deliberate change of
-/// the planner's arithmetic, never for a speedup.
+/// TTP-shaped distributions. The later cases vary the planner's shape:
+/// lookaheads shorter than the horizon, the ablation's horizons and bin
+/// widths, 2.125 s chunks (next buffers on half-bin ties) and observed
+/// buffers of 0 and at or above max_buffer_s. Regenerate them only for a
+/// deliberate change of the planner's arithmetic, never for a speedup.
 TEST(Mpc, PlanBitsPinnedOnSeededLattices) {
   const std::vector<PlanPin> pins = {
       {PinFamily::kPointMass, 11, 3.7, 14.0,
@@ -544,17 +552,128 @@ TEST(Mpc, PlanBitsPinnedOnSeededLattices) {
         -0x1.3ccf1e8c3258ep+11, -0x1.4fcbc45d0c555p+11, -0x1.575384c49be27p+11,
         -0x1.7290a26946a0fp+11},
        -0x1.15810a9bcd81cp+11},
+      // Lookaheads shorter than the horizon (live edge, end of stream).
+      {PinFamily::kTtpBins, 51, 4.0, 13.0,
+       {0x1.42b878c496e2cp+2, 0x1.0c45751090e4cp+3, 0x1.62962205d6eap+3,
+        0x1.9ffffffffffffp+3, 0x1.9ffffffffffffp+3, 0x1.a000000000002p+3,
+        0x1.9ffffffffffffp+3, 0x1.ap+3, 0x1.9fb8c2d31f375p+3,
+        0x1.9d660063da9bap+3},
+       0x1.a000000000002p+3, 1},
+      {PinFamily::kPointMass, 52, 7.5, 14.0,
+       {0x1.a20a5a93712a1p+3, 0x1.213417cc6cab9p+4, 0x1.61f09984612f8p+4,
+        0x1.9639b92980d66p+4, 0x1.c085f99b46f2ep+4, 0x1.ce845886558bcp+4,
+        0x1.d8c33288edc24p+4, 0x1.e1e0ad16dcb6ep+4, 0x1.ea12f2576512p+4,
+        0x1.f022950653d18p+4},
+       0x1.f022950653d18p+4, 2},
+      {PinFamily::kTtpBins, 53, 2.2, 15.0,
+       {0x1.d0ba41f3990ddp+4, 0x1.106baf0ab6c72p+5, 0x1.30b89a09bbdbep+5,
+        0x1.4abd1ff18ebacp+5, 0x1.6030df59dc7bep+5, 0x1.74b2c3f61375cp+5,
+        0x1.7a364fd3e21dfp+5, 0x1.7b2cd08743121p+5, 0x1.7345139ce1805p+5,
+        0x1.6015d7c4fbaep+5},
+       0x1.7b2cd08743121p+5, 3},
+      // bench/tab_mpc_ablation's horizons and bin widths.
+      {PinFamily::kPointMass, 61, 5.5, 14.0,
+       {0x1.02b878c496e2cp+2, 0x1.d88aea2121c98p+2, 0x1.42962205d6eap+3,
+        0x1.884cf6e2011dep+3, 0x1.cp+3, 0x1.cp+3,
+        0x1.cp+3, -0x1.0d11a4bb15a2fp+6, -0x1.794ab08760b05p+7,
+        -0x1.225deca1b8d3cp+8},
+       0x1.cp+3, 5, 1},
+      {PinFamily::kTtpBins, 62, 3.3, 12.5,
+       {0x1.f927c2500c668p+4, 0x1.24ab5669603e8p+5, 0x1.450997455a808p+5,
+        0x1.551ae95f6a0c8p+5, 0x1.5c544750cd623p+5, 0x1.635376c654aebp+5,
+        0x1.6872e3c7a0c9ep+5, 0x1.6d01a10e98444p+5, 0x1.711ac3ab17d33p+5,
+        0x1.742294f80a7e7p+5},
+       0x1.742294f80a7e7p+5, 5, 3},
+      {PinFamily::kTtpBins, 63, 8.1, 14.0,
+       {0x1.cc752adbebdf9p+6, 0x1.e080e57c98e54p+6, 0x1.f0b005ea96063p+6,
+        0x1.fdc24dd3ddfp+6, 0x1.042aaef827bb7p+7, 0x1.05ea7ad5898eap+7,
+        0x1.07325615dc958p+7, 0x1.085605679a73fp+7, 0x1.095c4e0fab7f6p+7,
+        0x1.0a1e426589576p+7},
+       0x1.0a1e426589576p+7, 8, 8},
+      {PinFamily::kPointMass, 64, 1.9, -1.0,
+       {0x1.e05f6715c7286p+6, 0x1.edbc8e2b8fd6ep+6, 0x1.f886a3ca38978p+6,
+        0x1.009ebf32deefp+7, 0x1.043b6e2b9099ep+7, 0x1.07bb05e654401p+7,
+        0x1.0a4abc66fa4dbp+7, 0x1.0c921b0a760aep+7, 0x1.0e9eac5a9821ap+7,
+        0x1.1022950653d18p+7},
+       0x1.1022950653d18p+7, 8, 8},
+      {PinFamily::kTtpBins, 65, 6.05, 14.0,
+       {0x1.c6b6554d3e34ap+5, 0x1.eddf16ad441fep+5, 0x1.065139a0399b7p+6,
+        0x1.124dc6b1e7ef7p+6, 0x1.1b6e5d5b20812p+6, 0x1.17e7f02836a0dp+6,
+        0x1.077690bcd9c7ep+6, 0x1.a63f9a5b41b95p+5, 0x1.ae8bdb36c4655p+4,
+        0x1.47dba21df7da4p+0},
+       0x1.1b6e5d5b20812p+6, 5, 5, 0.1},
+      {PinFamily::kPointMass, 66, 0.35, 13.0,
+       {0x1.045b3b172d026p+6, 0x1.1866f5b7da08p+6, 0x1.28961625d729p+6,
+        0x1.349ebf32deefp+6, 0x1.383b6e2b9099ep+6, 0x1.2e48e9a18cc93p+6,
+        0x1.d5cdb8094ba3p+5, 0x1.de2b13a23d4dep+5, 0x1.e43f8f1bf296ep+4,
+        0x1.bb6a5a034f298p+3},
+       0x1.383b6e2b9099ep+6, 5, 5, 0.1},
+      {PinFamily::kTtpBins, 67, 9.5, 14.0,
+       {0x1.005b3b172d025p+6, 0x1.1466f5b7da074p+6, 0x1.24961625d7239p+6,
+        0x1.31a85e0f1ef27p+6, 0x1.3c3b6e2b90121p+6, 0x1.3fbb05e6514dap+6,
+        0x1.424abc66ecebap+6, 0x1.44921b0a2bf45p+6, 0x1.469eac592eep+6,
+        0x1.482294ffb6e25p+6},
+       0x1.482294ffb6e25p+6, 5, 5, 1.0},
+      {PinFamily::kBinEdges, 68, 3.0, 14.0,
+       {-0x1.d8fd07df99047p+8, -0x1.0919ffc4cd1c6p+9, -0x1.be614cc36b8fp+8,
+        -0x1.ce0667dac7154p+9, -0x1.ebb550ff6edd6p+8, -0x1.d6c25b8798116p+8,
+        -0x1.d7dbe8ff8470ap+7, -0x1.358a742b83ap+8, -0x1.8c7f60e5c9dcap+8,
+        0x1.5cd0fb77e3458p+5},
+       0x1.5cd0fb77e3458p+5, 5, 5, 1.0},
+      // 2.125 s chunks put next buffers on half-bin ties (8.5 bins and up),
+      // where lround rounds away from zero.
+      {PinFamily::kBinEdges, 71, 4.25, 14.0,
+       {-0x1.4e76a5d0eae64p+9, -0x1.04abca5b891c6p+10, -0x1.b2de94de2b42fp+8,
+        -0x1.251174658db34p+9, -0x1.372741309583ap+8, -0x1.bdd40d4b366e1p+9,
+        -0x1.5859cf2c4c65cp+8, -0x1.372c23e6fce3ep+9, -0x1.302e32f26bcf1p+9,
+        0x1.09a9669bc4869p+5},
+       0x1.09a9669bc4869p+5, 5, 5, 0.25, 2.125},
+      {PinFamily::kTtpBins, 72, 5.5, 14.0,
+       {0x1.005b3083b217p+6, 0x1.1466ea14133f1p+6, 0x1.2496083a596a6p+6,
+        0x1.31a84b3ede29cp+6, 0x1.3c3b50c922632p+6, 0x1.3fbaca88d2c16p+6,
+        0x1.424a3f7ea5cd6p+6, 0x1.4490f0afef965p+6, 0x1.469b8465b1b91p+6,
+        0x1.481a77e76a127p+6},
+       0x1.481a77e76a127p+6, 5, 5, 0.25, 2.125},
+      {PinFamily::kPointMass, 73, 0.5, 14.0,
+       {0x1.fdaea4d6e2a5p+5, 0x1.12e30d0c1e582p+6, 0x1.23122d7a1b792p+6,
+        0x1.28e9bbac8f188p+6, 0x1.1b144df57ae1ap+6, 0x1.b2a1fa3b8010ep+5,
+        0x1.3e2516077a856p+4, -0x1.02ee19bbede9cp+5, -0x1.c27b07f0b3f9cp+5,
+        -0x1.8fd073abdbea6p+6},
+       0x1.28e9bbac8f188p+6, 5, 5, 0.25, 2.125},
+      // Empty buffer, and buffers at and above max_buffer_s.
+      {PinFamily::kTtpBins, 81, 0.0, 14.0,
+       {0x1.333c6222234e3p+5, 0x1.452c9d5dd4516p+5, 0x1.42566a0ebd69ep+5,
+        0x1.2951fd9b47f64p+5, 0x1.efe84fa9364a4p+4, 0x1.271a357a7958fp+4,
+        0x1.36546e9b8a1c4p+2, -0x1.7f3592e25c518p+3, -0x1.fd06c4c4ff7dfp+4,
+        -0x1.8c7f2581936f8p+5},
+       0x1.452c9d5dd4516p+5},
+      {PinFamily::kPointMass, 82, 15.0, 14.0,
+       {0x1.005b3b172d026p+6, 0x1.1466f5b7da08p+6, 0x1.24961625d729p+6,
+        0x1.31a85e0f1f12cp+6, 0x1.3c3b6e2b9099ep+6, 0x1.3fbb05e654401p+6,
+        0x1.424abc66fa4dbp+6, 0x1.44921b0a760aep+6, 0x1.469eac5a9821ap+6,
+        0x1.4822950653d18p+6},
+       0x1.4822950653d18p+6},
+      {PinFamily::kTtpBins, 83, 20.0, 14.0,
+       {0x1.005b3b172d027p+6, 0x1.1466f5b7da08p+6, 0x1.24961625d7291p+6,
+        0x1.31a85e0f1f12cp+6, 0x1.3c3b6e2b9099fp+6, 0x1.3fbb05e654401p+6,
+        0x1.424abc66fa4dbp+6, 0x1.44921b0a760adp+6, 0x1.469eac5a9821bp+6,
+        0x1.4822950653d18p+6},
+       0x1.4822950653d18p+6},
   };
   ASSERT_FALSE(pins.empty());
   for (const PlanPin& pin : pins) {
-    StochasticMpc mpc;
+    MpcConfig config;
+    config.horizon = pin.horizon;
+    config.buffer_bin_s = pin.buffer_bin_s;
+    config.chunk_duration_s = pin.chunk_duration_s;
+    StochasticMpc mpc{config};
     ScriptedPredictor predictor{[&pin](const int step, const int64_t size) {
       return pinned_distribution(pin.family, pin.seed, step, size);
     }};
     AbrObservation obs;
     obs.buffer_s = pin.buffer_s;
     obs.prev_ssim_db = pin.prev_ssim_db;
-    const auto lookahead = make_lookahead(5);
+    const auto lookahead = make_lookahead(pin.lookahead);
     mpc.plan(obs, lookahead, predictor);
     const std::span<const double> roots = mpc.last_root_values();
     ASSERT_EQ(roots.size(), pin.root_values.size());
