@@ -12,10 +12,12 @@
 
 #include "abr/bba.hh"
 #include "exp/fleet_trial.hh"
+#include "exp/insitu.hh"
 #include "exp/registry.hh"
 #include "exp/trial.hh"
 #include "fugu/batch_ttp.hh"
 #include "fugu/fugu.hh"
+#include "fugu/ttp_trainer.hh"
 #include "fugu/ttp_predictor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -749,19 +751,18 @@ TEST(FleetTrial, ContentionGroupShapeAndFairness) {
   }
 }
 
-/// Every bit a zero-fault contention run produces, as text rows: per scheme
-/// the CONSORT counts and hex-float sums of each StreamFigures field (plus
-/// session durations), then each group's fairness index, then the
-/// contention.* byte counters.
-std::vector<std::string> contention_digest(const std::string& label,
-                                           const exp::FleetTrialResult& run) {
-  const auto hex = [](const double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%a", value);
-    return std::string{buf};
-  };
+std::string hex(const double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", value);
+  return std::string{buf};
+}
+
+/// A trial's results as text rows, one per scheme: the CONSORT counts and
+/// hex-float sums of each StreamFigures field (plus session durations).
+std::vector<std::string> scheme_digest(const std::string& label,
+                                       const exp::TrialResult& trial) {
   std::vector<std::string> rows;
-  for (const exp::SchemeResult& scheme : run.trial.schemes) {
+  for (const exp::SchemeResult& scheme : trial.schemes) {
     const exp::ConsortCounts& c = scheme.consort;
     std::string row = label;
     row += ' ';
@@ -794,6 +795,15 @@ std::vector<std::string> contention_digest(const std::string& label,
     }
     rows.push_back(row);
   }
+  return rows;
+}
+
+/// Every bit a zero-fault contention run produces, as text rows: the scheme
+/// rows, then each group's fairness index, then the contention.* byte
+/// counters.
+std::vector<std::string> contention_digest(const std::string& label,
+                                           const exp::FleetTrialResult& run) {
+  std::vector<std::string> rows = scheme_digest(label, run.trial);
   std::string fairness = label;
   fairness += " fairness";
   for (const double f : run.group_fairness) {
@@ -888,6 +898,53 @@ TEST(FleetTrial, ContentionRejectsPairedMode) {
   config.trial.paired_paths = true;
   EXPECT_THROW(static_cast<void>(exp::run_fleet_trial(config, fleet_factory())),
                RequirementError);
+}
+
+// Captured before StochasticMpc::plan computed step 1 on demand. Regenerate
+// only for a documented behaviour change: on a mismatch the test prints the
+// actual rows, ready to paste.
+const std::vector<std::string> kFuguTrialPinned = {
+    // clang-format off
+    "puffer Fugu consort 12 52 9 6 0 1 37 sums 0x1.28cfdaf9beb89p+11 0x1.bdbe03c5ffe2dp+6 0x1.25ddfd078a598p+6 0x1.3d454a55578p+9 0x1.b5c540b6d8d75p+3 0x1.3ddd9e6638b61p+9 0x1.969ef9eb3aecfp+7 0x1.4b9a174229bbp+9 0x1.30c9b11f9ef48p+11",
+    "puffer MPC-HM consort 8 20 2 2 0 0 16 sums 0x1.4cb93e88b3eabp+10 0x1.c1dc6e4c42c4cp+2 0x1.136f050e07169p+3 0x1.04dd6aa8ec4d4p+8 0x1.a23bb9ae8ce12p+3 0x1.50329539585f5p+7 0x1.e809da4b032f2p+5 0x1.5629d384204b6p+8 0x1.4a93559c3146cp+10",
+    // clang-format on
+};
+
+/// The golden rows pin BBA and MPC-HM trials, and fleet_factory's Fugu runs
+/// an untrained network. This pins a Fugu arm whose TTP was trained in situ
+/// (tiny: one day, one epoch), so the planner sees TTP-shaped distributions
+/// inside a real trial.
+TEST(FleetTrial, FuguTrialBitsPinned) {
+  fugu::TtpTrainConfig train_config;
+  train_config.epochs = 1;
+  train_config.max_examples_per_step = 3000;
+  const auto model = std::make_shared<const fugu::TtpModel>(
+      exp::train_ttp_on_scenario(net::ScenarioSpec{"puffer"},
+                                 fugu::TtpConfig{}, train_config, /*days=*/1,
+                                 /*sessions_per_day=*/16, /*seed=*/77));
+  const exp::SchemeFactory factory =
+      [model](const std::string& name) -> std::unique_ptr<abr::AbrAlgorithm> {
+    if (name == "Fugu") {
+      return fugu::make_fugu(model, name);
+    }
+    return exp::make_scheme(name, exp::SchemeArtifacts{});
+  };
+  exp::FleetTrialConfig config = fleet_config();
+  config.trial.schemes = {"Fugu", "MPC-HM"};
+  config.trial.sessions_per_scheme = 10;
+  config.trial.scenario = net::ScenarioSpec{"puffer"};
+  config.trial.seed = 771;
+  const std::vector<std::string> actual =
+      scheme_digest("puffer", exp::run_fleet_trial(config, factory).trial);
+  if (actual != kFuguTrialPinned) {
+    for (const std::string& row : actual) {
+      std::printf("    \"%s\",\n", row.c_str());
+    }
+  }
+  ASSERT_EQ(actual.size(), kFuguTrialPinned.size());
+  for (size_t i = 0; i < actual.size(); i++) {
+    EXPECT_EQ(actual[i], kFuguTrialPinned[i]);
+  }
 }
 
 // ---------------------------------------------------------------------------
