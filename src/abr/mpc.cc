@@ -40,14 +40,41 @@ void prune_distribution(TxTimeDistribution& dist, const double min_probability) 
 
 StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.horizon >= 1, "StochasticMpc: horizon must be >= 1");
+  require(std::isfinite(config_.max_buffer_s) && config_.max_buffer_s > 0.0,
+          "StochasticMpc: max_buffer_s must be finite and > 0");
   require(config_.buffer_bin_s > 0.0, "StochasticMpc: bin size must be > 0");
+  require(config_.buffer_bin_s <= config_.max_buffer_s,
+          "StochasticMpc: buffer_bin_s must be <= max_buffer_s");
+  require(config_.chunk_duration_s > 0.0,
+          "StochasticMpc: chunk_duration_s must be > 0");
+  require(std::isfinite(config_.mu) && config_.mu >= 0.0,
+          "StochasticMpc: mu must be finite and >= 0");
+  require(std::isfinite(config_.lambda) && config_.lambda >= 0.0,
+          "StochasticMpc: lambda must be finite and >= 0");
+  require(config_.prune_probability >= 0.0 && config_.prune_probability < 1.0,
+          "StochasticMpc: prune_probability must be in [0, 1)");
   num_bins_ =
       static_cast<int>(std::ceil(config_.max_buffer_s / config_.buffer_bin_s));
+  // Every next buffer is at least min(chunk_duration_s, max_buffer_s), so no
+  // transition lands below this bin.
+  first_live_bin_ = buffer_to_bin(
+      std::min(config_.chunk_duration_s, config_.max_buffer_s));
 }
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
-  const double clamped = std::clamp(buffer_s, 0.0, config_.max_buffer_s);
-  return static_cast<int>(std::lround(clamped / config_.buffer_bin_s));
+  // Round half away from zero, as std::lround does: x lies in
+  // [0, num_bins_], so the truncation is the floor and x - whole is exact.
+  const double x =
+      std::clamp(buffer_s, 0.0, config_.max_buffer_s) / config_.buffer_bin_s;
+  const int whole = static_cast<int>(x);
+  return whole + (x - whole >= 0.5 ? 1 : 0);
+}
+
+double StochasticMpc::next_buffer_s(const double buffer_s,
+                                    const double tx_time_s) const {
+  return std::min(std::max(buffer_s - tx_time_s, 0.0) +
+                      config_.chunk_duration_s,
+                  config_.max_buffer_s);
 }
 
 const int* StochasticMpc::next_bin_row(const double tx_time_s) {
@@ -61,13 +88,9 @@ const int* StochasticMpc::next_bin_row(const double tx_time_s) {
     next_bin_row_times_.push_back(tx_time_s);
     next_bin_rows_.resize(next_bin_row_times_.size() * bins);
     int* out = next_bin_rows_.data() + row * bins;
-    for (size_t b = 0; b < bins; b++) {
-      const double buffer_s = static_cast<int>(b) * config_.buffer_bin_s;
-      const double next_buffer =
-          std::min(std::max(buffer_s - tx_time_s, 0.0) +
-                       config_.chunk_duration_s,
-                   config_.max_buffer_s);
-      out[b] = buffer_to_bin(next_buffer);
+    for (size_t b = static_cast<size_t>(first_live_bin_); b < bins; b++) {
+      out[b] = buffer_to_bin(
+          next_buffer_s(static_cast<int>(b) * config_.buffer_bin_s, tx_time_s));
     }
   }
   return next_bin_rows_.data() + row * bins;
@@ -114,8 +137,62 @@ void StochasticMpc::prepare_plan(
   }
 }
 
-int StochasticMpc::plan_root(const AbrObservation& obs,
-                             const std::span<const double> value_of_next) {
+void StochasticMpc::fill_switch_penalty(const int step) {
+  // Quality + switch-penalty term per (previous rung, action); it does not
+  // depend on the buffer. Matches chunk_qoe: a negative previous SSIM means
+  // "no previous quality", so the variation term is skipped.
+  constexpr int R = media::kNumRungs;
+  for (int prev = 0; prev < R; prev++) {
+    const double prev_ssim =
+        lookahead_[static_cast<size_t>(step - 1)]
+            .versions[static_cast<size_t>(prev)].ssim_db;
+    for (int action = 0; action < R; action++) {
+      const double ssim =
+          lookahead_[static_cast<size_t>(step)].versions[static_cast<size_t>(
+              action)].ssim_db;
+      const double penalty =
+          prev_ssim >= 0.0 ? config_.lambda * std::abs(ssim - prev_ssim) : 0.0;
+      switch_penalty_[static_cast<size_t>(prev) * R +
+                      static_cast<size_t>(action)] = ssim - penalty;
+    }
+  }
+}
+
+double StochasticMpc::step_one_value(const int buffer_bin, const int prev_rung) {
+  constexpr int R = media::kNumRungs;
+  const int bins = num_bins_ + 1;
+  double* expect = step_one_expect_.data() + static_cast<size_t>(buffer_bin) * R;
+  if (step_one_ready_[static_cast<size_t>(buffer_bin)] == 0) {
+    // The sweep's expectation at one bin: the same outcome-ordered sum, with
+    // each transition computed directly instead of from a next-bin row.
+    const double buffer_s = buffer_bin * config_.buffer_bin_s;
+    for (int action = 0; action < R; action++) {
+      const double* next_value =
+          value_next_.data() + static_cast<size_t>(action) * bins;
+      double sum = 0.0;
+      for (const TxTimeOutcome& outcome :
+           distributions_[static_cast<size_t>(R + action)]) {
+        const double t = outcome.time_s;
+        const double stall = t > buffer_s ? t - buffer_s : 0.0;
+        sum += outcome.probability *
+               (next_value[buffer_to_bin(next_buffer_s(buffer_s, t))] -
+                config_.mu * stall);
+      }
+      expect[action] = sum;
+    }
+    step_one_ready_[static_cast<size_t>(buffer_bin)] = 1;
+  }
+  const double* penalty =
+      switch_penalty_.data() + static_cast<size_t>(prev_rung) * R;
+  double best = -std::numeric_limits<double>::infinity();
+  for (int action = 0; action < R; action++) {
+    const double value = penalty[action] + expect[action];
+    best = best < value ? value : best;
+  }
+  return best;
+}
+
+int StochasticMpc::plan_root(const AbrObservation& obs) {
   // Root step: continuous buffer, previous quality from the observation.
   int best_action = 0;
   double best_value = -std::numeric_limits<double>::infinity();
@@ -127,14 +204,12 @@ int StochasticMpc::plan_root(const AbrObservation& obs,
     for (const auto& outcome : dist) {
       const double qoe = chunk_qoe(version.ssim_db, obs.prev_ssim_db,
                                    outcome.time_s, obs.buffer_s);
-      const double next_buffer =
-          std::min(std::max(obs.buffer_s - outcome.time_s, 0.0) +
-                       config_.chunk_duration_s,
-                   config_.max_buffer_s);
       const double continuation =
-          value_of_next[static_cast<size_t>(buffer_to_bin(next_buffer)) *
-                            media::kNumRungs +
-                        static_cast<size_t>(action)];
+          effective_horizon_ > 1
+              ? step_one_value(
+                    buffer_to_bin(next_buffer_s(obs.buffer_s, outcome.time_s)),
+                    action)
+              : 0.0;
       expected += outcome.probability * (qoe + continuation);
     }
     root_values_[static_cast<size_t>(action)] = expected;
@@ -154,86 +229,85 @@ int StochasticMpc::plan(const AbrObservation& obs,
 
   constexpr int R = media::kNumRungs;
   const int bins = num_bins_ + 1;
+  const int lo = first_live_bin_;
   const size_t plane = static_cast<size_t>(bins) * R;
+  // mu * stall on the no-stall side, where stall = 0.0.
+  const double mu_no_stall = config_.mu * 0.0;
 
-  // Backward sweep over the (step x buffer-bin x previous-rung) lattice.
-  // value_next_ holds V[step + 1]; V[effective_horizon_] = 0.
+  // Backward sweep over steps H-1..2 of the (step x previous-rung x
+  // buffer-bin) lattice. value_next_ holds V[step + 1]; V[effective_horizon_]
+  // = 0. Bins below first_live_bin_ are never read and are left stale.
   value_next_.assign(plane, 0.0);
   value_cur_.resize(plane);
-  expect_base_.resize(static_cast<size_t>(R) * bins);
+  expect_base_.resize(plane);
   switch_penalty_.resize(static_cast<size_t>(R) * R);
 
   next_bin_row_times_.clear();
 
-  for (int step = effective_horizon_ - 1; step >= 1; step--) {
+  for (int step = effective_horizon_ - 1; step >= 2; step--) {
     // 1. Fold the outcome expectation once per (action, bin):
-    //      expect_base_[a][b] = sum_o p_o * (V[step+1][nb][a] - mu * stall)
+    //      expect_base_[a][b] = sum_o p_o * (V[step+1][a][nb] - mu * stall)
     //    The bin transition nb of each outcome time is one next-bin row,
     //    built once per plan and shared by every (step, action, outcome)
     //    with that time (Fugu's outcomes are the 21 TTP bin midpoints).
-    //    The maximization below never touches buffer_to_bin, and (unlike
-    //    the recursion) the expectation no longer re-runs per previous rung.
+    //    Stalls fall on a prefix of the bins, so the loop splits there.
     for (int action = 0; action < R; action++) {
       double* base = expect_base_.data() + static_cast<size_t>(action) * bins;
-      std::fill(base, base + bins, 0.0);
-      const TxTimeDistribution& dist =
-          distributions_[static_cast<size_t>(step) * R +
-                         static_cast<size_t>(action)];
-      for (const TxTimeOutcome& outcome : dist) {
+      std::fill(base + lo, base + bins, 0.0);
+      const double* next_value =
+          value_next_.data() + static_cast<size_t>(action) * bins;
+      for (const TxTimeOutcome& outcome :
+           distributions_[static_cast<size_t>(step) * R +
+                          static_cast<size_t>(action)]) {
         const double t = outcome.time_s;
         const double p = outcome.probability;
         const int* next_bin = next_bin_row(t);
-        for (int b = 0; b < bins; b++) {
+        int b = lo;
+        for (; b < bins; b++) {
           const double buffer_s = b * config_.buffer_bin_s;
-          const double stall = t > buffer_s ? t - buffer_s : 0.0;
-          base[b] += p * (value_next_[static_cast<size_t>(next_bin[b]) * R +
-                                      static_cast<size_t>(action)] -
-                          config_.mu * stall);
+          if (!(t > buffer_s)) {
+            break;
+          }
+          base[b] += p * (next_value[next_bin[b]] - config_.mu * (t - buffer_s));
+        }
+        for (; b < bins; b++) {
+          base[b] += p * (next_value[next_bin[b]] - mu_no_stall);
         }
       }
     }
 
-    // 2. Quality + switch-penalty term per (action, previous rung) — does
-    //    not depend on the buffer, so it is hoisted out of the bin loop.
-    //    Matches chunk_qoe: a negative previous SSIM means "no previous
-    //    quality", so the variation term is skipped.
-    for (int action = 0; action < R; action++) {
-      const double ssim =
-          lookahead_[static_cast<size_t>(step)].versions[static_cast<size_t>(
-              action)].ssim_db;
-      for (int prev = 0; prev < R; prev++) {
-        const double prev_ssim =
-            lookahead_[static_cast<size_t>(step - 1)]
-                .versions[static_cast<size_t>(prev)].ssim_db;
-        const double penalty =
-            prev_ssim >= 0.0 ? config_.lambda * std::abs(ssim - prev_ssim)
-                             : 0.0;
-        switch_penalty_[static_cast<size_t>(action) * R +
-                        static_cast<size_t>(prev)] = ssim - penalty;
-      }
-    }
-
-    // 3. Maximize over actions for every (bin, previous rung) state.
-    for (int b = 0; b < bins; b++) {
-      double* out_row = value_cur_.data() + static_cast<size_t>(b) * R;
-      for (int prev = 0; prev < R; prev++) {
+    // 2. Maximize over actions for every (previous rung, bin) state. Bins
+    //    are the vector axis; actions stay in order 0..R-1 per bin.
+    fill_switch_penalty(step);
+    for (int prev = 0; prev < R; prev++) {
+      double penalty[R];
+      std::copy_n(switch_penalty_.data() + static_cast<size_t>(prev) * R, R,
+                  penalty);
+      double* out = value_cur_.data() + static_cast<size_t>(prev) * bins;
+      for (int b = lo; b < bins; b++) {
         double best = -std::numeric_limits<double>::infinity();
         for (int action = 0; action < R; action++) {
           const double value =
-              switch_penalty_[static_cast<size_t>(action) * R +
-                              static_cast<size_t>(prev)] +
+              penalty[action] +
               expect_base_[static_cast<size_t>(action) * bins +
                            static_cast<size_t>(b)];
-          best = std::max(best, value);
+          best = best < value ? value : best;
         }
-        out_row[prev] = best;
+        out[b] = best;
       }
     }
     std::swap(value_cur_, value_next_);
   }
 
-  // value_next_ now holds V[1] (or zeros when the horizon is 1).
-  return plan_root(obs, value_next_);
+  // value_next_ now holds V[2] (zeros when the horizon is 2). Step 1 is read
+  // only by the root, at one bin per (action, outcome): plan_root computes
+  // those states on demand.
+  if (effective_horizon_ > 1) {
+    fill_switch_penalty(1);
+    step_one_expect_.resize(plane);
+    step_one_ready_.assign(static_cast<size_t>(bins), 0);
+  }
+  return plan_root(obs);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,15 +31,22 @@ struct MpcConfig {
 ///  * Fugu's probabilistic TTP makes it a stochastic optimal controller.
 ///
 /// plan() runs the dynamic program as an iterative backward sweep over the
-/// (step x buffer-bin x previous-rung) lattice: per step, the expectation
-/// over transmission-time outcomes is folded once per (action, bin) — with
-/// the bin transition of each distinct outcome time computed once per plan
-/// as a next-bin row — and the per-(bin, prev-rung) maximization reads those
-/// folded values. No recursion, no memo probing, and the outcome loop no
-/// longer repeats per previous rung (a kNumRungs-fold reduction in
-/// expectation work vs. the memoized recursion). plan_reference() retains
-/// the original recursive/memoized implementation as the oracle for the
-/// equivalence property tests.
+/// (step x previous-rung x buffer-bin) lattice, each step's value plane laid
+/// out [rung][bin]:
+///  * Steps H-1..2 are swept in full. Per step, the expectation over
+///    transmission-time outcomes is folded once per (action, bin), reading
+///    each outcome time's bin transitions from a next-bin row built once per
+///    plan; the maximization over actions then runs with bins as the vector
+///    axis (actions in order per bin, so it vectorizes to packed max).
+///  * Dead bins: every next buffer is at least min(chunk_duration_s,
+///    max_buffer_s), so bins below that one are never read and are skipped.
+///  * Step 1 is read only by the root, at one bin per (action, outcome), so
+///    plan_root computes V[1] on demand at those states, memoizing each
+///    bin's per-action expectations within the plan.
+/// Every value that is computed comes from the same floating-point
+/// operations in the same order as a full sweep, so skipping work never
+/// moves a bit. plan_reference() retains the original recursive/memoized
+/// implementation as the oracle for the equivalence property tests.
 class StochasticMpc {
  public:
   explicit StochasticMpc(MpcConfig config = {});
@@ -71,6 +78,8 @@ class StochasticMpc {
 
  private:
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
+  /// Buffer after sending a chunk that takes `tx_time_s` from `buffer_s`.
+  [[nodiscard]] double next_buffer_s(double buffer_s, double tx_time_s) const;
   [[nodiscard]] size_t state_index(int step, int buffer_bin, int prev_rung) const;
 
   /// The next-bin row of an outcome time: row[b] = buffer_to_bin of the
@@ -83,11 +92,18 @@ class StochasticMpc {
   void prepare_plan(std::span<const media::ChunkOptions> lookahead,
                     TxTimePredictor& predictor);
 
-  /// Root maximization over the continuous (un-binned) buffer, reading
-  /// step-1 values from `value_of_next` (the V[1] plane, or zeros when the
-  /// horizon is 1). Returns the argmax rung and fills root_values_.
-  int plan_root(const AbrObservation& obs,
-                std::span<const double> value_of_next);
+  /// switch_penalty_ for `step`: the chunk's SSIM minus the variation term,
+  /// per (previous rung, action).
+  void fill_switch_penalty(int step);
+
+  /// V[1] at one (bin, previous rung) state, from V[2] in value_next_ and
+  /// step 1's switch_penalty_. Memoizes the bin's per-action expectations.
+  double step_one_value(int buffer_bin, int prev_rung);
+
+  /// Root maximization over the continuous (un-binned) buffer, reading V[1]
+  /// through step_one_value (zero when the horizon is 1). Returns the argmax
+  /// rung and fills root_values_.
+  int plan_root(const AbrObservation& obs);
 
   /// Reference-path recursion (memoized); only plan_reference() calls it.
   double value_of(int step, int buffer_bin, int prev_rung);
@@ -100,6 +116,7 @@ class StochasticMpc {
 
   MpcConfig config_;
   int num_bins_ = 0;
+  int first_live_bin_ = 0;  ///< lowest bin any transition lands in
 
   // Per-plan scratch (kept across calls to avoid reallocation).
   std::span<const media::ChunkOptions> lookahead_;
@@ -109,13 +126,15 @@ class StochasticMpc {
   double last_plan_value_ = 0.0;
   std::vector<double> root_values_;  // [rung]
 
-  // Iterative-sweep lattice planes, indexed [buffer_bin * kNumRungs + rung].
+  // Iterative-sweep lattice planes, indexed [rung * (num_bins_+1) + bin].
   std::vector<double> value_cur_;
   std::vector<double> value_next_;
   std::vector<double> expect_base_;  // [action * (num_bins_+1) + bin]
-  std::vector<double> switch_penalty_;  // [action * kNumRungs + prev_rung]
+  std::vector<double> switch_penalty_;  // [prev_rung * kNumRungs + action]
   std::vector<double> next_bin_row_times_;  // [row], distinct in this plan
   std::vector<int> next_bin_rows_;          // [row * (num_bins_+1) + bin]
+  std::vector<double> step_one_expect_;  // [bin * kNumRungs + action]
+  std::vector<uint8_t> step_one_ready_;  // [bin]: step_one_expect_ is set
 
   // Reference-path memo (epoch-tagged; untouched by plan(); allocated by
   // the first plan_reference() call).

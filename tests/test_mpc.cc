@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "abr/mpc.hh"
@@ -709,6 +711,72 @@ TEST(Mpc, EmptyLookaheadRejected) {
   ScriptedPredictor predictor = constant_throughput(1e6);
   AbrObservation obs;
   EXPECT_THROW(mpc.plan(obs, {}, predictor), RequirementError);
+}
+
+/// Constructing a planner from `config` throws a RequirementError whose
+/// message names `field`.
+void expect_config_rejected(const MpcConfig& config, const std::string& field) {
+  try {
+    StochasticMpc mpc{config};
+    ADD_FAILURE() << field << ": config accepted";
+  } catch (const RequirementError& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Mpc, RejectsBadMaxBuffer) {
+  for (const double value : {0.0, -1.0, kInf, kNaN}) {
+    MpcConfig config;
+    config.max_buffer_s = value;
+    expect_config_rejected(config, "max_buffer_s");
+  }
+}
+
+TEST(Mpc, RejectsBadChunkDuration) {
+  for (const double value : {0.0, -2.002, kNaN}) {
+    MpcConfig config;
+    config.chunk_duration_s = value;
+    expect_config_rejected(config, "chunk_duration_s");
+  }
+}
+
+TEST(Mpc, RejectsBinWiderThanBuffer) {
+  MpcConfig config;
+  config.buffer_bin_s = config.max_buffer_s + 0.25;
+  expect_config_rejected(config, "buffer_bin_s");
+  config.buffer_bin_s = config.max_buffer_s;  // one bin is still a lattice
+  EXPECT_NO_THROW(StochasticMpc{config});
+}
+
+TEST(Mpc, RejectsBadStallWeight) {
+  for (const double value : {-1.0, -kInf, kInf, kNaN}) {
+    MpcConfig config;
+    config.mu = value;
+    expect_config_rejected(config, "mu");
+  }
+}
+
+TEST(Mpc, RejectsBadVariationWeight) {
+  for (const double value : {-0.5, kInf, kNaN}) {
+    MpcConfig config;
+    config.lambda = value;
+    expect_config_rejected(config, "lambda");
+  }
+}
+
+TEST(Mpc, RejectsBadPruneProbability) {
+  for (const double value : {-1e-4, 1.0, 2.0, kNaN}) {
+    MpcConfig config;
+    config.prune_probability = value;
+    expect_config_rejected(config, "prune_probability");
+  }
+  MpcConfig config;
+  config.prune_probability = 0.0;  // keep every outcome
+  EXPECT_NO_THROW(StochasticMpc{config});
 }
 
 TEST(MpcAbr, EndToEndWithHarmonicMean) {
