@@ -46,19 +46,21 @@ NetworkPath PufferPathModel::sample_path(Rng& rng, const double duration_s) cons
   double regime = 0.0;         // cumulative log regime shift
   double outage_left_s = 0.0;  // remaining outage duration
 
+  // Per-segment arrival probabilities of the two Poisson processes.
+  const double dt = cfg.segment_duration_s;
+  const double p_regime_shift = 1.0 - std::exp(-cfg.regime_shift_rate_hz * dt);
+  const double p_outage = 1.0 - std::exp(-cfg.outage_rate_hz * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = cfg.segment_duration_s;
     // OU drift.
     drift += -cfg.ou_reversion * drift + rng.normal(0.0, cfg.ou_volatility);
     // Regime shifts arrive as a Poisson process.
-    if (rng.bernoulli(1.0 - std::exp(-cfg.regime_shift_rate_hz * dt))) {
+    if (rng.bernoulli(p_regime_shift)) {
       regime += rng.normal(0.0, cfg.regime_shift_sigma);
       // Pull extreme regimes gently back toward the base rate.
       regime = std::clamp(regime, -2.5, 1.5);
     }
     // Outages.
-    if (outage_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-cfg.outage_rate_hz * dt))) {
+    if (outage_left_s <= 0.0 && rng.bernoulli(p_outage)) {
       outage_left_s = rng.exponential(1.0 / cfg.outage_mean_duration_s);
     }
 
@@ -240,14 +242,14 @@ NetworkPath WifiPathModel::sample_path(Rng& rng,
 
   std::vector<double> rates(n);
   double fade_left_s = 0.0;
+  const double dt = cfg.segment_duration_s;
+  const double p_fade = 1.0 - std::exp(-cfg.fade_rate_hz * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = cfg.segment_duration_s;
     const double t = phase_s + static_cast<double>(i) * dt;
     const double cycle_pos = t / period_s - std::floor(t / period_s);
     double rate_mbps = cycle_pos < cfg.duty_cycle ? good_mbps : degraded_mbps;
 
-    if (fade_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-cfg.fade_rate_hz * dt))) {
+    if (fade_left_s <= 0.0 && rng.bernoulli(p_fade)) {
       fade_left_s = rng.exponential(1.0 / cfg.fade_mean_duration_s);
     }
     if (fade_left_s > 0.0) {
@@ -286,10 +288,10 @@ NetworkPath SatellitePathModel::sample_path(Rng& rng,
 
   std::vector<double> rates(n);
   double fade_left_s = 0.0;
+  const double dt = cfg.segment_duration_s;
+  const double p_rain_fade = 1.0 - std::exp(-cfg.rain_fade_rate_hz * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = cfg.segment_duration_s;
-    if (fade_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-cfg.rain_fade_rate_hz * dt))) {
+    if (fade_left_s <= 0.0 && rng.bernoulli(p_rain_fade)) {
       fade_left_s = rng.exponential(1.0 / cfg.rain_fade_mean_duration_s);
     }
     double rate_mbps = base_mbps * std::exp(rng.normal(0.0, cfg.noise_sigma));
