@@ -161,7 +161,8 @@ void StochasticMpc::fill_switch_penalty(const int step) {
 double StochasticMpc::step_one_value(const int buffer_bin, const int prev_rung) {
   constexpr int R = media::kNumRungs;
   const int bins = num_bins_ + 1;
-  double* expect = step_one_expect_.data() + static_cast<size_t>(buffer_bin) * R;
+  // The step-1 expectations reuse expect_base_, which the sweep is done with.
+  double* expect = expect_base_.data() + buffer_bin;
   if (step_one_ready_[static_cast<size_t>(buffer_bin)] == 0) {
     // The sweep's expectation at one bin: the same outcome-ordered sum, with
     // each transition computed directly instead of from a next-bin row.
@@ -178,7 +179,7 @@ double StochasticMpc::step_one_value(const int buffer_bin, const int prev_rung) 
                (next_value[buffer_to_bin(next_buffer_s(buffer_s, t))] -
                 config_.mu * stall);
       }
-      expect[action] = sum;
+      expect[static_cast<size_t>(action) * bins] = sum;
     }
     step_one_ready_[static_cast<size_t>(buffer_bin)] = 1;
   }
@@ -186,7 +187,8 @@ double StochasticMpc::step_one_value(const int buffer_bin, const int prev_rung) 
       switch_penalty_.data() + static_cast<size_t>(prev_rung) * R;
   double best = -std::numeric_limits<double>::infinity();
   for (int action = 0; action < R; action++) {
-    const double value = penalty[action] + expect[action];
+    const double value =
+        penalty[action] + expect[static_cast<size_t>(action) * bins];
     best = best < value ? value : best;
   }
   return best;
@@ -304,7 +306,6 @@ int StochasticMpc::plan(const AbrObservation& obs,
   // those states on demand.
   if (effective_horizon_ > 1) {
     fill_switch_penalty(1);
-    step_one_expect_.resize(plane);
     step_one_ready_.assign(static_cast<size_t>(bins), 0);
   }
   return plan_root(obs);

@@ -97,7 +97,8 @@ class StochasticMpc {
   void fill_switch_penalty(int step);
 
   /// V[1] at one (bin, previous rung) state, from V[2] in value_next_ and
-  /// step 1's switch_penalty_. Memoizes the bin's per-action expectations.
+  /// step 1's switch_penalty_. Memoizes the bin's per-action expectations
+  /// in expect_base_.
   double step_one_value(int buffer_bin, int prev_rung);
 
   /// Root maximization over the continuous (un-binned) buffer, reading V[1]
@@ -133,8 +134,7 @@ class StochasticMpc {
   std::vector<double> switch_penalty_;  // [prev_rung * kNumRungs + action]
   std::vector<double> next_bin_row_times_;  // [row], distinct in this plan
   std::vector<int> next_bin_rows_;          // [row * (num_bins_+1) + bin]
-  std::vector<double> step_one_expect_;  // [bin * kNumRungs + action]
-  std::vector<uint8_t> step_one_ready_;  // [bin]: step_one_expect_ is set
+  std::vector<uint8_t> step_one_ready_;  // [bin]: step 1's expect_base_ set
 
   // Reference-path memo (epoch-tagged; untouched by plan(); allocated by
   // the first plan_reference() call).
