@@ -1,4 +1,4 @@
-// fleet_scale: throughput of the fleet engine, with bitwise audits.
+// fleet_scale: bitwise audits of the fleet engine, each run once.
 //
 //   ./fleet_scale [--smoke] [--sessions N] [--arrivals poisson|diurnal|flash-crowd]
 //                 [--rate R] [--threads T] [--shards S] [--contention]
@@ -6,26 +6,30 @@
 //                 [--metrics-out PATH]
 //
 // Part 1 audits that per-decision fused-GEMM TTP inference answers every
-// query bit for bit like the scalar forward_one path (the rows/s of both
-// are bench/nn_kernels.cc's numbers, in BENCH_nn.json). Part 2 runs a
-// (sharded) fleet trial and reports sessions/sec, chunks/sec and the
-// concurrency profile next to the session-sequential baseline, auditing
-// that the merged trial is bit-identical to it. Part 3 sweeps the sharded engine over a
-// sessions-scale curve (10^2 -> 10^6 synthetic sessions), auditing at each
-// point that the sharded run's merged load series matches the single-queue
-// run bit for bit. Results land in BENCH_fleet.json (override with --json)
-// so the perf trajectory accumulates data.
+// query bit for bit like the scalar forward_one path. Part 2 runs a
+// (sharded) fleet trial and audits that its merged trial is bit-identical
+// to the session-sequential baseline, reporting the concurrency profile,
+// the cross-session coalescing counts and the per-shard event counts.
+// Part 3 sweeps the sharded engine over a sessions-scale curve (10^2 ->
+// 10^6 synthetic sessions), auditing at each point that the sharded run's
+// merged load series matches the single-queue run bit for bit. Results land
+// in BENCH_fleet.json (override with --json).
 //
 // --contention adds Part 4: a shared-bottleneck curve over group sizes
 // (per-group Jain fairness and the induced-stall ratio vs group size),
 // each point audited bitwise sharded-vs-single-queue.
 //
 // --faults adds Part 5: the same fleet population with the fault plane on
-// (injected TTP inference failures and session aborts), reporting
-// degraded-mode throughput and the harmonic-mean fallback rate, audited
-// bitwise 2-shard-vs-single-queue including the faults.* counters. With
+// (injected TTP inference failures and session aborts), reporting the
+// fault counters and the harmonic-mean fallback rate, audited bitwise
+// 2-shard-vs-single-queue including the faults.* counters. With
 // --contention as well, Part 5 adds the same faulted population behind
 // shared edge bottlenecks of two flows, audited the same way.
+//
+// Every figure here is a count, a virtual-time quantity or an audit bit:
+// the program reads no clock. Wall time and throughput are the repository
+// benchmark's numbers (perfbench/README.md); GEMM rows/s are
+// bench/nn_kernels.cc's (BENCH_nn.json).
 //
 // --smoke shrinks everything to seconds and exits non-zero on any mismatch,
 // which is what CI runs (with --shards 2 to keep the sharded path covered).
@@ -38,7 +42,6 @@
 // snapshot as JSON.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,12 +71,6 @@ namespace fugu = puffer::fugu;
 namespace media = puffer::media;
 namespace obs = puffer::obs;
 namespace sim = puffer::sim;
-
-double seconds_since(const std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct DecisionInputs {
   abr::AbrObservation obs;
@@ -136,8 +133,7 @@ bool same_bits(const std::vector<abr::TxTimeDistribution>& a,
 
 /// Bitwise audit of batched TTP inference: per-decision fused GEMMs must
 /// answer every query exactly as the scalar forward_one path does. The
-/// rows/s of both paths are bench/nn_kernels.cc's numbers (BENCH_nn.json);
-/// the cross-session coalescing on top is measured by the fleet run below
+/// cross-session coalescing on top is counted by the fleet run below
 /// (coalesced rows / GEMM calls).
 bool audit_batched_inference(const int decisions) {
   const auto model =
@@ -175,7 +171,7 @@ exp::SchemeFactory fleet_factory() {
 
 /// Minimal fleet task for the sessions-scale sweep: a fixed decision count
 /// with a per-session (deterministic) inter-decision gap and no inference,
-/// so the sweep times the engine itself — queues, sharding, load
+/// so the sweep exercises the engine itself — queues, sharding, load
 /// accounting — rather than ABR compute, and 10^6 sessions stay tractable.
 class SyntheticTask final : public sim::FleetTask {
  public:
@@ -201,8 +197,6 @@ class SyntheticTask final : public sim::FleetTask {
 
 struct CurvePoint {
   int64_t sessions = 0;
-  double wall_s = 0.0;
-  double chunks_per_s = 0.0;
   int peak_concurrency = 0;
   double mean_concurrency = 0.0;
   bool shard_identical = false;  ///< sharded == single-queue, bitwise
@@ -212,8 +206,8 @@ struct CurvePoint {
 constexpr int kCurveDecisions = 20;
 
 /// One sessions-scale sweep point: `sessions` synthetic sessions spread
-/// uniformly over an hour of virtual time, run sharded (timed) and with a
-/// single queue (audit baseline).
+/// uniformly over an hour of virtual time, run sharded and with a single
+/// queue (audit baseline).
 CurvePoint run_curve_point(const int64_t sessions, const int threads,
                            const int shards) {
   std::vector<double> arrivals(static_cast<size_t>(sessions));
@@ -229,10 +223,8 @@ CurvePoint run_curve_point(const int64_t sessions, const int threads,
   sim::FleetConfig sharded;
   sharded.num_threads = threads;
   sharded.num_shards = shards;
-  const auto start = std::chrono::steady_clock::now();
   const sim::FleetRunStats run =
       sim::FleetEngine{sharded}.run(arrivals, factory);
-  const double wall_s = seconds_since(start);
 
   sim::FleetConfig single = sharded;
   single.num_shards = 1;
@@ -241,8 +233,6 @@ CurvePoint run_curve_point(const int64_t sessions, const int threads,
 
   CurvePoint point;
   point.sessions = sessions;
-  point.wall_s = wall_s;
-  point.chunks_per_s = static_cast<double>(run.decisions) / wall_s;
   point.peak_concurrency = run.load.peak();
   point.mean_concurrency = run.load.time_weighted_mean();
   point.shard_identical =
@@ -270,13 +260,12 @@ struct ContentionPoint {
   double mean_fairness = 1.0;   ///< mean per-group Jain index
   double min_fairness = 1.0;    ///< worst group
   double stall_ratio = 0.0;     ///< total stall time / total watch time
-  double wall_s = 0.0;
   bool shard_identical = false;  ///< sharded == single-queue, bitwise
 };
 
 /// One contention-curve point: the same fleet population behind shared
-/// edge bottlenecks of `group_size` flows, run single-queue (timed) and
-/// with two shards (audit: figures + fairness must match bit for bit).
+/// edge bottlenecks of `group_size` flows, run single-queue and with two
+/// shards (audit: figures + fairness must match bit for bit).
 ContentionPoint run_contention_point(const int group_size, const int sessions,
                                      const int threads) {
   exp::FleetTrialConfig config;
@@ -291,10 +280,8 @@ ContentionPoint run_contention_point(const int group_size, const int sessions,
   config.contention = exp::make_contention_spec("edge", group_size);
 
   config.num_shards = 1;
-  const auto start = std::chrono::steady_clock::now();
   const exp::FleetTrialResult base =
       exp::run_fleet_trial(config, fleet_factory());
-  const double wall_s = seconds_since(start);
 
   config.num_shards = 2;
   const exp::FleetTrialResult sharded =
@@ -302,7 +289,6 @@ ContentionPoint run_contention_point(const int group_size, const int sessions,
 
   ContentionPoint point;
   point.group_size = group_size;
-  point.wall_s = wall_s;
 
   double stall_s = 0.0, watch_s = 0.0;
   for (const auto& scheme : base.trial.schemes) {
@@ -353,8 +339,6 @@ ContentionPoint run_contention_point(const int group_size, const int sessions,
 }
 
 struct FaultsPoint {
-  double wall_s = 0.0;
-  double chunks_per_s = 0.0;      ///< degraded-mode throughput (faults on)
   double fallback_rate = 0.0;     ///< fallback decisions / TTP decisions
   int64_t ttp_decisions = 0;
   int64_t ttp_failures = 0;
@@ -372,7 +356,7 @@ int64_t metric_value(const obs::MetricSnapshot& snapshot,
 
 /// --faults: the Part-2 fleet population with the fault plane enabled (TTP
 /// inference failures driving harmonic-mean fallback, plus mid-stream
-/// aborts), run single-queue (timed) and with two shards. The audit demands
+/// aborts), run single-queue and with two shards. The audit demands
 /// bitwise-identical figures AND identical faults.* counters — the fault
 /// schedule must be invariant to sharding. `group_size` > 1 puts the
 /// population behind shared edge bottlenecks of that many flows.
@@ -401,16 +385,12 @@ FaultsPoint run_faults_point(const int sessions, const int threads,
   artifacts.ttp_insitu = model;
 
   config.num_shards = 1;
-  const auto start = std::chrono::steady_clock::now();
   const exp::FleetTrialResult base = exp::run_fleet_trial(config, artifacts);
-  const double wall_s = seconds_since(start);
 
   config.num_shards = 2;
   const exp::FleetTrialResult sharded = exp::run_fleet_trial(config, artifacts);
 
   FaultsPoint point;
-  point.wall_s = wall_s;
-  point.chunks_per_s = static_cast<double>(base.fleet.decisions) / wall_s;
   point.ttp_decisions = metric_value(base.metrics, "faults.ttp_decisions");
   point.ttp_failures = metric_value(base.metrics, "faults.ttp_failures");
   point.fallback_decisions =
@@ -539,63 +519,16 @@ int main(int argc, char** argv) {
               config.trial.schemes.size(), config.trial.sessions_per_scheme,
               arrivals.c_str(), rate, threads, shards);
 
-  auto start = std::chrono::steady_clock::now();
   const exp::TrialResult sequential =
       exp::detail::run_trial_serial(config.trial, fleet_factory());
-  const double sequential_s = seconds_since(start);
 
-  // Warm up the allocator and caches with one untimed, unprofiled fleet
-  // run: the first fleet run of the process is consistently ~10-15% slower
-  // than a repeat (arena/malloc warmup), which would otherwise be charged
-  // to whichever timed run goes first and swamp the real gate overhead.
-  // The warmup run doubles as the virtual-time trace capture when
-  // --trace-out is set — the sim plane's lanes are byte-identical across
-  // runs (test-enforced), and keeping the trace sink out of the timed runs
-  // keeps its JSON-rendering cost out of the profiling-overhead ratio.
-  obs::set_prof_enabled(false);
-  exp::FleetTrialConfig warmup_config = config;
+  // The one fleet run. prof_reset() scopes the wall lanes to it (Part 1
+  // and the sequential baseline also hit the profiled scopes).
   if (!trace_path.empty()) {
-    warmup_config.trace = &trace;
+    config.trace = &trace;
   }
-  static_cast<void>(exp::run_fleet_trial(warmup_config, fleet_factory()));
-  obs::set_prof_enabled(true);
-
-  // Timed runs, alternating profiling on/off twice: single-core CI boxes
-  // show several percent of run-to-run wall variance, so the overhead
-  // ratio compares the best-of-two walls per mode rather than one sample
-  // each. The perf plane is reset before each profiled run (Part 1 and
-  // the sequential baseline also hit the profiled scopes), so the
-  // per-phase wall times reported below describe exactly one fleet run.
-  // With PUFFER_PROFILING=OFF both modes are no-ops and the ratio
-  // sits at ~1.
-  exp::FleetTrialResult fleet;
-  obs::ProfSnapshot prof;
-  double fleet_s = 0.0;
-  double fleet_off_s = 0.0;
-  for (int rep = 0; rep < 2; rep++) {
-    obs::prof_reset();
-    start = std::chrono::steady_clock::now();
-    exp::FleetTrialResult on_run =
-        exp::run_fleet_trial(config, fleet_factory());
-    const double on_s = seconds_since(start);
-    prof = obs::prof_snapshot();
-    if (rep == 0) {
-      fleet = std::move(on_run);
-      fleet_s = on_s;
-    } else {
-      fleet_s = std::min(fleet_s, on_s);
-    }
-
-    obs::set_prof_enabled(false);
-    start = std::chrono::steady_clock::now();
-    const exp::FleetTrialResult off_run =
-        exp::run_fleet_trial(config, fleet_factory());
-    const double off_s = seconds_since(start);
-    obs::set_prof_enabled(true);
-    fleet_off_s = rep == 0 ? off_s : std::min(fleet_off_s, off_s);
-    puffer::require(off_run.fleet.decisions == fleet.fleet.decisions,
-            "fleet_scale: profiling gate changed the simulation");
-  }
+  obs::prof_reset();
+  exp::FleetTrialResult fleet = exp::run_fleet_trial(config, fleet_factory());
 
   bool figures_identical = true;
   for (size_t s = 0; s < sequential.schemes.size(); s++) {
@@ -614,23 +547,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double sessions_per_s =
-      static_cast<double>(fleet.fleet.sessions) / fleet_s;
-  const double chunks_per_s =
-      static_cast<double>(fleet.fleet.decisions) / fleet_s;
-  const double off_chunks_per_s =
-      static_cast<double>(fleet.fleet.decisions) / fleet_off_s;
-  const double overhead_ratio =
-      chunks_per_s > 0.0 ? off_chunks_per_s / chunks_per_s : 0.0;
-  std::printf("  sequential baseline : %8.2f s\n", sequential_s);
-  std::printf("  fleet run           : %8.2f s  (%.0f sessions/s, "
-              "%.0f chunks/s wall)\n",
-              fleet_s, sessions_per_s, chunks_per_s);
-  std::printf("  profiling overhead  : %8.2f s unprofiled  (%.0f chunks/s; "
-              "off/on ratio %.4f)\n",
-              fleet_off_s, off_chunks_per_s, overhead_ratio);
   std::printf("  figure-identical    : %s\n",
               figures_identical ? "yes" : "NO — MISMATCH");
+  std::printf("  sessions            : %8lld\n",
+              static_cast<long long>(fleet.fleet.sessions));
   std::printf("  virtual duration    : %8.0f s\n",
               fleet.fleet.virtual_duration_s);
   std::printf("  peak concurrency    : %8d sessions\n",
@@ -650,14 +570,10 @@ int main(int argc, char** argv) {
   std::vector<int64_t> shard_arrival_counts, shard_decision_counts,
       shard_gemm_counts, shard_row_counts;
   for (const obs::MetricSnapshot& shard : fleet.fleet.shard_metrics) {
-    const auto value = [&shard](const std::string& name) -> int64_t {
-      const obs::MetricSnapshot::Metric* metric = shard.find(name);
-      return metric != nullptr ? metric->value : 0;
-    };
-    shard_arrival_counts.push_back(value("fleet.arrivals"));
-    shard_decision_counts.push_back(value("fleet.decisions"));
-    shard_gemm_counts.push_back(value("fleet.gemm_calls"));
-    shard_row_counts.push_back(value("fleet.coalesced_rows"));
+    shard_arrival_counts.push_back(metric_value(shard, "fleet.arrivals"));
+    shard_decision_counts.push_back(metric_value(shard, "fleet.decisions"));
+    shard_gemm_counts.push_back(metric_value(shard, "fleet.gemm_calls"));
+    shard_row_counts.push_back(metric_value(shard, "fleet.coalesced_rows"));
   }
   std::printf("  per-shard decisions :");
   for (const int64_t n : shard_decision_counts) {
@@ -665,25 +581,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // Per-phase wall time from the profiling scopes (perf plane; empty when
-  // PUFFER_PROFILING=OFF).
-  const std::vector<obs::ProfScopeStats> merged_scopes = prof.merged();
-  const std::vector<std::string> phase_scopes = {
-      "fleet.shard", "fleet.admit", "fleet.coalesce",
-      "fleet.finish", "fleet.record", "nn.gemm", "nn.gemm.pack"};
-  for (const std::string& name : phase_scopes) {
-    const obs::ProfScopeStats* scope =
-        obs::ProfSnapshot::find(merged_scopes, name);
-    if (scope != nullptr) {
-      std::printf("  wall %-15s: %10.1f ms over %lld scopes\n", name.c_str(),
-                  static_cast<double>(scope->total_ns) / 1e6,
-                  static_cast<long long>(scope->count));
-    }
-  }
-
   // Two-plane trace export, assembled before the curve runs below so the
   // wall lanes cover exactly the fleet run: the engine already appended its
-  // virtual-time shard lanes during run(); add the deterministic
+  // virtual-time shard lanes during the run; add the deterministic
   // concurrency counter lane, then the perf plane's wall lanes.
   if (!trace_path.empty()) {
     for (const auto& point : fleet.fleet.load.export_points()) {
@@ -723,10 +623,9 @@ int main(int argc, char** argv) {
     curve.push_back(run_curve_point(n, threads, shards));
     const CurvePoint& point = curve.back();
     curve_identical = curve_identical && point.shard_identical;
-    std::printf("  %8lld sessions: %10.0f chunks/s, peak %7d, mean %10.1f, "
-                "%7.3f s wall, shard-identical %s\n",
-                static_cast<long long>(point.sessions), point.chunks_per_s,
-                point.peak_concurrency, point.mean_concurrency, point.wall_s,
+    std::printf("  %8lld sessions: peak %7d, mean %10.1f, shard-identical %s\n",
+                static_cast<long long>(point.sessions), point.peak_concurrency,
+                point.mean_concurrency,
                 point.shard_identical ? "yes" : "NO — MISMATCH");
   }
 
@@ -752,14 +651,14 @@ int main(int argc, char** argv) {
       const double induced =
           baseline > 0.0 ? point.stall_ratio / baseline : 0.0;
       std::printf("  group %2d: fairness mean %6.4f min %6.4f, stall %7.5f "
-                  "(induced %5.2fx), %6.2f s wall, shard-identical %s\n",
+                  "(induced %5.2fx), shard-identical %s\n",
                   point.group_size, point.mean_fairness, point.min_fairness,
-                  point.stall_ratio, induced, point.wall_s,
+                  point.stall_ratio, induced,
                   point.shard_identical ? "yes" : "NO — MISMATCH");
     }
   }
 
-  // Part 5 (--faults): degraded-mode throughput with the fault plane on,
+  // Part 5 (--faults): degraded-mode counters with the fault plane on,
   // audited bitwise 2-shard-vs-single-queue (figures and faults.* counters);
   // with --contention, once more behind shared edge bottlenecks of 2 flows.
   FaultsPoint faults_point;
@@ -768,8 +667,6 @@ int main(int argc, char** argv) {
   if (faults) {
     const int fault_sessions = smoke ? 24 : std::max(sessions, 48);
     const auto report = [](const FaultsPoint& point) {
-      std::printf("  degraded throughput : %10.0f chunks/s (%.2f s wall)\n",
-                  point.chunks_per_s, point.wall_s);
       std::printf("  ttp decisions       : %8lld  (%lld failures, %lld "
                   "fallback, rate %.4f)\n",
                   static_cast<long long>(point.ttp_decisions),
@@ -804,9 +701,6 @@ int main(int argc, char** argv) {
   json.field("smoke", smoke);
   json.field("ttp_bitwise_identical", inference_identical);
   json.field("fleet_sessions", static_cast<int64_t>(fleet.fleet.sessions));
-  json.field("fleet_sessions_per_s", sessions_per_s, 2);
-  json.field("fleet_chunks_per_s", chunks_per_s, 1);
-  json.field("fleet_vs_sequential_wall", sequential_s / fleet_s, 3);
   json.field("fleet_figure_identical", figures_identical);
   json.field("peak_concurrency", fleet.fleet.load.peak());
   json.field("mean_concurrency", fleet.fleet.load.time_weighted_mean(), 2);
@@ -819,33 +713,16 @@ int main(int argc, char** argv) {
   json.field("shard_decisions", shard_decision_counts);
   json.field("shard_gemm_calls", shard_gemm_counts);
   json.field("shard_coalesced_rows", shard_row_counts);
-  for (const std::string& name : phase_scopes) {
-    const obs::ProfScopeStats* scope =
-        obs::ProfSnapshot::find(merged_scopes, name);
-    if (scope != nullptr) {
-      json.field("wall_ms." + name,
-                 static_cast<double>(scope->total_ns) / 1e6, 2);
-      json.field("wall_count." + name, scope->count);
-    }
-  }
-  json.field("profiling_compiled", obs::kProfilingCompiled);
-  json.field("profiling_on_chunks_per_s", chunks_per_s, 0);
-  json.field("profiling_off_chunks_per_s", off_chunks_per_s, 0);
-  json.field("profiling_overhead_ratio", overhead_ratio, 4);
   puffer::bench::metrics_fields(json, fleet.metrics);
-  std::vector<int64_t> curve_chunk_rates, curve_peaks;
-  std::vector<double> curve_means, curve_walls;
+  std::vector<int64_t> curve_peaks;
+  std::vector<double> curve_means;
   for (const CurvePoint& point : curve) {
-    curve_chunk_rates.push_back(static_cast<int64_t>(point.chunks_per_s));
     curve_peaks.push_back(point.peak_concurrency);
     curve_means.push_back(point.mean_concurrency);
-    curve_walls.push_back(point.wall_s);
   }
   json.field("curve_sessions", curve_sessions);
-  json.field("curve_chunks_per_s", curve_chunk_rates);
   json.field("curve_peak_concurrency", curve_peaks);
   json.field("curve_mean_concurrency", curve_means, 1);
-  json.field("curve_wall_s", curve_walls, 3);
   json.field("curve_shard_identical", curve_identical);
   if (contention) {
     std::vector<int64_t> contention_groups;
@@ -868,7 +745,6 @@ int main(int argc, char** argv) {
     json.field("contention_shard_identical", contention_identical);
   }
   if (faults) {
-    json.field("fleet_faults_chunks_per_s", faults_point.chunks_per_s, 1);
     json.field("fleet_faults_fallback_rate", faults_point.fallback_rate, 4);
     json.field("fleet_faults_ttp_decisions", faults_point.ttp_decisions);
     json.field("fleet_faults_ttp_failures", faults_point.ttp_failures);

@@ -40,7 +40,6 @@ ContentionSpec make_contention_spec(const std::string& topology,
                                     const int group_size) {
   ContentionSpec spec;
   spec.group_size = group_size;
-  spec.topology = topology;
   if (topology == "edge") {
     // CDN edge uplink: big FIFO, mild oversubscription, BBR everywhere.
     spec.fair_queue = false;

@@ -20,9 +20,6 @@ namespace puffer::exp {
 struct ContentionSpec {
   /// Sessions per shared bottleneck. 1 = private links (historical path).
   int group_size = 1;
-  /// Which shared-bottleneck topology the spec models; purely descriptive
-  /// (the knobs below carry the semantics), recorded for bench output.
-  std::string topology = "edge";
   /// Fair-queue (max-min) scheduling at the bottleneck instead of one FIFO.
   bool fair_queue = false;
   /// Shared-link capacity = capacity_scale * group_size * (one sampled

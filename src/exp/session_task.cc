@@ -98,15 +98,13 @@ SessionTask::Step SessionTask::prepare() {
         net::TcpSender::default_queue_capacity(*plan_.path));
     sim::send_preamble(*sender_);
   }
-  for (;;) {
-    if (!open_stream()) {
-      return Step::kDone;
-    }
-    if (stream_->prepare_chunk()) {
-      return Step::kDecision;
-    }
-    finish_stream();
+  double wait_s = 0.0;
+  StreamStep step = advance(wait_s);
+  while (step == StreamStep::kWait) {
+    sender_->idle_until(sender_->now() + wait_s);
+    step = finish_wait(wait_s);
   }
+  return step == StreamStep::kDecision ? Step::kDecision : Step::kDone;
 }
 
 SessionTask::StreamStep SessionTask::advance(double& wait_s) {
@@ -142,9 +140,7 @@ bool SessionTask::stage(fugu::TtpInferenceBatch& batch) {
 }
 
 void SessionTask::finish_chunk() {
-  require(stream_.has_value(), "SessionTask: no decision pending");
-  stream_->finish_chunk();
-  after_chunk();
+  complete_chunk(sender_->transfer(begin_chunk()));
 }
 
 double SessionTask::begin_chunk() {

@@ -53,7 +53,8 @@ void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
 /// Two modes share that one life cycle:
 ///  * private-path mode (the four-argument constructor): the task owns a
 ///    TcpSender over the plan's path and the engine drives it through the
-///    FleetTask protocol;
+///    FleetTask protocol, whose prepare()/finish_chunk() run the steps
+///    below against that sender (idle_until on kWait, transfer per chunk);
 ///  * borrowed-sender mode (contention-group members): the caller owns an
 ///    externally driven TcpSender behind a shared link and drives the
 ///    transfers itself through the stream-level steps below —

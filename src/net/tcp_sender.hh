@@ -99,7 +99,6 @@ class TcpSender {
   [[nodiscard]] const CongestionControl& congestion_control() const {
     return *cc_;
   }
-  [[nodiscard]] double total_delivered_bytes() const { return delivered_total_; }
   [[nodiscard]] double min_rtt_s() const { return min_rtt_s_; }
 
   /// Lifetime-average delivery rate (bytes/s) — used to classify "slow"

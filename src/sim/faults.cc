@@ -1,13 +1,32 @@
 #include "sim/faults.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "util/require.hh"
 
 namespace puffer::sim {
 
 namespace {
+
+/// The whole of `text` as a finite number; anything else (trailing
+/// characters, inf, nan) is rejected naming the offending token.
+double parse_finite(const std::string_view text, const char* const what,
+                    const std::string_view token) {
+  const std::string message = std::string{"parse_fault_plan: bad "} + what +
+                              " in '" + std::string{token} + "'";
+  size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(std::string{text}, &used);
+  } catch (const std::exception&) {
+    require(false, message);
+  }
+  require(used == text.size() && std::isfinite(value), message);
+  return value;
+}
 
 std::string joined_names(const FaultRegistry& registry) {
   std::string out;
@@ -78,7 +97,8 @@ void FaultPlan::add(const std::string_view family, const double probability,
               "'; known families: " + joined_names(fault_registry()));
   require(probability >= 0.0 && probability <= 1.0,
           "FaultPlan::add: probability must be in [0, 1]");
-  require(duration_s >= 0.0, "FaultPlan::add: duration_s must be >= 0");
+  require(std::isfinite(duration_s) && duration_s >= 0.0,
+          "FaultPlan::add: duration_s must be finite and >= 0");
   for (FaultSpec& spec : specs) {
     if (spec.family == family) {
       spec.probability = probability;
@@ -162,22 +182,10 @@ FaultPlan parse_fault_plan(const std::string_view text, const uint64_t seed) {
     double duration_s = 0.0;
     const size_t colon = value.find(':');
     if (colon != std::string_view::npos) {
-      try {
-        duration_s = std::stod(std::string{value.substr(colon + 1)});
-      } catch (const std::exception&) {
-        require(false, "parse_fault_plan: bad duration in '" +
-                           std::string{token} + "'");
-      }
+      duration_s = parse_finite(value.substr(colon + 1), "duration", token);
       value = value.substr(0, colon);
     }
-    double probability = 0.0;
-    try {
-      probability = std::stod(std::string{value});
-    } catch (const std::exception&) {
-      require(false, "parse_fault_plan: bad probability in '" +
-                         std::string{token} + "'");
-    }
-    plan.add(family, probability, duration_s);
+    plan.add(family, parse_finite(value, "probability", token), duration_s);
     if (comma == std::string_view::npos) {
       break;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -168,7 +169,6 @@ void run_shard(const std::span<const double> arrivals,
       tasks[slot] = factory(id, shard);
       require(tasks[slot] != nullptr, "FleetEngine: factory returned null");
       arrival_time[slot] = t;
-      stats.sessions += tasks[slot]->session_count();
       stats.virtual_duration_s = std::max(stats.virtual_duration_s, t);
       m.registry.add(m.arrivals);
       m.registry.add(m.sessions, tasks[slot]->session_count());
@@ -219,8 +219,6 @@ void run_shard(const std::span<const double> arrivals,
         shared_batch.run();
       }
       batch_rows = shared_batch.total_rows() - rows_before;
-      stats.coalesced_rows += batch_rows;
-      stats.gemm_calls += shared_batch.total_forward_calls() - forwards_before;
       m.registry.add(m.coalesced_rows, batch_rows);
       m.registry.add(m.gemm_calls,
                      shared_batch.total_forward_calls() - forwards_before);
@@ -246,10 +244,8 @@ void run_shard(const std::span<const double> arrivals,
     int64_t staged_count = 0;
     for (size_t i = 0; i < batch.size(); i++) {
       const auto slot = static_cast<size_t>(batch[i].slot);
-      stats.decisions++;
       m.registry.add(m.decisions);
       if (staged[i] == 0) {
-        stats.inline_decisions++;
         m.registry.add(m.inline_decisions);
       } else {
         staged_count++;
@@ -374,11 +370,6 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
   stats.num_shards = shards;
   stats.num_workers = std::min(workers, shards);
   for (FleetRunStats& shard : shard_stats) {
-    stats.sessions += shard.sessions;
-    stats.decisions += shard.decisions;
-    stats.coalesced_rows += shard.coalesced_rows;
-    stats.gemm_calls += shard.gemm_calls;
-    stats.inline_decisions += shard.inline_decisions;
     stats.virtual_duration_s =
         std::max(stats.virtual_duration_s, shard.virtual_duration_s);
     stats.load.merge_from(shard.load);
@@ -386,6 +377,14 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
     stats.shard_metrics.push_back(std::move(shard.metrics));
   }
   stats.load.finalize();
+  const auto counter = [&stats](const std::string_view name) {
+    return stats.metrics.find(name)->value;
+  };
+  stats.sessions = counter("fleet.sessions");
+  stats.decisions = counter("fleet.decisions");
+  stats.coalesced_rows = counter("fleet.coalesced_rows");
+  stats.gemm_calls = counter("fleet.gemm_calls");
+  stats.inline_decisions = counter("fleet.inline_decisions");
   if (config_.trace != nullptr) {
     config_.trace->process_name(obs::kSimTracePid, "virtual time (sim)");
     for (int s = 0; s < shards; s++) {

@@ -119,9 +119,10 @@ struct FleetConfig {
   obs::TraceWriter* trace = nullptr;
 };
 
-/// What a fleet run measured about itself.
+/// What a fleet run measured about itself. The five counts are copies of
+/// the merged fleet.* counters in `metrics`.
 struct FleetRunStats {
-  int64_t sessions = 0;          ///< tasks created (= arrivals consumed)
+  int64_t sessions = 0;          ///< sessions admitted (fleet.sessions)
   int64_t decisions = 0;         ///< chunk decisions processed
   int64_t coalesced_rows = 0;    ///< TTP rows answered via shared batches
   int64_t gemm_calls = 0;        ///< fused forward passes run

@@ -11,9 +11,11 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abr/mpc_abr.hh"
@@ -136,6 +138,42 @@ TEST(FaultPlan, ParseAndFingerprint) {
   EXPECT_EQ(plan.fingerprint_key(), other.fingerprint_key());
   other.seed = 10;
   EXPECT_NE(plan.fingerprint_key(), other.fingerprint_key());
+}
+
+/// The message of the RequirementError `fn` throws ("" when it returns).
+template <typename Fn>
+std::string requirement_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const RequirementError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FaultPlan, ParseRejectsTrailingCharactersNamingToken) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"session-abort=0.5x", "session-abort=0.5x"},
+      {"ttp-inference=0.1,session-abort=0.5x", "session-abort=0.5x"},
+      {"link-outage=0.3:30s", "link-outage=0.3:30s"}};
+  for (const auto& [spec, token] : cases) {
+    const std::string message = requirement_message(
+        [spec] { static_cast<void>(sim::parse_fault_plan(spec, 1)); });
+    EXPECT_NE(message.find(token), std::string::npos)
+        << spec << " -> '" << message << "'";
+  }
+}
+
+TEST(FaultPlan, RejectsNonFiniteDurationNamingToken) {
+  const std::string message = requirement_message([] {
+    static_cast<void>(sim::parse_fault_plan("link-outage=0.3:inf", 1));
+  });
+  EXPECT_NE(message.find("link-outage=0.3:inf"), std::string::npos)
+      << "'" << message << "'";
+  sim::FaultPlan plan;
+  EXPECT_THROW(plan.add(sim::kFaultLinkOutage, 0.3,
+                        std::numeric_limits<double>::infinity()),
+               RequirementError);
 }
 
 // ---------------------------------------------------------------------------

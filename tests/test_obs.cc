@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -301,49 +302,11 @@ TEST(LoadSeries, ExportPointsFinalizesPendingDeltas) {
 
 // --- ProfScope (perf plane) -------------------------------------------------
 
-TEST(Prof, ScopesRecordWhenCompiledIn) {
-  obs::prof_reset();
-  obs::set_prof_enabled(true);
-  {
-    const obs::ProfScope scope{"test.scope"};
-  }
-  const obs::ProfSnapshot snapshot = obs::prof_snapshot();
-  const std::vector<obs::ProfScopeStats> merged = snapshot.merged();
-  const obs::ProfScopeStats* stats =
-      obs::ProfSnapshot::find(merged, "test.scope");
-  if (obs::kProfilingCompiled) {
-    ASSERT_NE(stats, nullptr);
-    EXPECT_EQ(stats->count, 1);
-    EXPECT_GE(stats->total_ns, 0);
-    EXPECT_LE(stats->min_ns, stats->max_ns);
-  } else {
-    EXPECT_EQ(stats, nullptr);  // no-op build: query API returns empty
-  }
-  obs::prof_reset();
-}
-
-TEST(Prof, RuntimeGateSkipsRecording) {
-  obs::prof_reset();
-  obs::set_prof_enabled(false);
-  {
-    const obs::ProfScope scope{"gated.scope"};
-  }
-  obs::set_prof_enabled(true);
-  const obs::ProfSnapshot snapshot = obs::prof_snapshot();
-  EXPECT_EQ(obs::ProfSnapshot::find(snapshot.merged(), "gated.scope"),
-            nullptr);
-  obs::prof_reset();
-}
-
-TEST(Prof, ResetClearsCallingThread) {
-  obs::set_prof_enabled(true);
-  {
-    const obs::ProfScope scope{"reset.scope"};
-  }
-  obs::prof_reset();
-  const obs::ProfSnapshot snapshot = obs::prof_snapshot();
-  EXPECT_EQ(obs::ProfSnapshot::find(snapshot.merged(), "reset.scope"),
-            nullptr);
+/// The wall lanes prof_export_trace() renders from the perf plane's log.
+std::string exported_wall_lanes() {
+  obs::TraceWriter trace;
+  obs::prof_export_trace(trace);
+  return trace.str();
 }
 
 TEST(Prof, ExportTraceEmitsWallLanes) {
@@ -354,11 +317,41 @@ TEST(Prof, ExportTraceEmitsWallLanes) {
   }
   obs::TraceWriter trace;
   obs::prof_export_trace(trace);
-  if (obs::kProfilingCompiled) {
-    EXPECT_NE(trace.str().find("traced.scope"), std::string::npos);
-  } else {
-    EXPECT_EQ(trace.event_count(), 0u);
+  EXPECT_EQ(trace.event_count(), 3u);  // process name, thread name, scope
+  const std::string lanes = trace.str();
+  EXPECT_NE(lanes.find("traced.scope"), std::string::npos);
+  EXPECT_NE(lanes.find("wall time (perf)"), std::string::npos);
+  EXPECT_NE(lanes.find("\"pid\":" + std::to_string(obs::kWallTracePid)),
+            std::string::npos);
+  obs::prof_reset();
+}
+
+TEST(Prof, RuntimeGateSkipsRecording) {
+  obs::prof_reset();
+  obs::set_prof_enabled(false);
+  {
+    const obs::ProfScope scope{"gated.scope"};
   }
+  obs::set_prof_enabled(true);
+  EXPECT_EQ(exported_wall_lanes().find("gated.scope"), std::string::npos);
+  obs::prof_reset();
+}
+
+TEST(Prof, ResetClearsCallingThread) {
+  obs::set_prof_enabled(true);
+  {
+    const obs::ProfScope scope{"reset.scope"};
+  }
+  obs::prof_reset();
+  EXPECT_EQ(exported_wall_lanes().find("reset.scope"), std::string::npos);
+}
+
+TEST(Prof, RetiredWorkerLanesExported) {
+  obs::prof_reset();
+  obs::set_prof_enabled(true);
+  std::thread worker{[] { const obs::ProfScope scope{"worker.scope"}; }};
+  worker.join();
+  EXPECT_NE(exported_wall_lanes().find("worker.scope"), std::string::npos);
   obs::prof_reset();
 }
 
